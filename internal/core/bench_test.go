@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,69 +32,37 @@ func benchTable(b *testing.B, n, k, rows int) *table.Table {
 	return tb
 }
 
-// BenchmarkACVEdgeKernel measures the directed-edge counting kernel —
-// the inner loop of stage 1 of the builder.
-func BenchmarkACVEdgeKernel(b *testing.B) {
-	tb := benchTable(b, 2, 3, 2000)
-	cnt := make([]int32, 9)
-	colA, colC := tb.Column(0), tb.Column(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = acvEdge(colA, colC, 3, cnt)
+// BenchmarkCountBlock measures counting one tail-pair block of triple
+// cells (28 triples over 20000 rows) with each kernel at each k; the
+// crossover it shows is what popcountWins encodes.
+func BenchmarkCountBlock(b *testing.B) {
+	for _, k := range []int{2, 3, 4, 5, 6, 7, 8, 10} {
+		tb := benchTable(b, 30, k, 20000)
+		for _, kern := range []*counter{{tb: tb, ix: tb.Index()}, {tb: tb}} {
+			name := fmt.Sprintf("k%d/scan", k)
+			if kern.ix != nil {
+				name = fmt.Sprintf("k%d/popcount", k)
+			}
+			b.Run(name, func(b *testing.B) {
+				c, err := countPairs(context.Background(), tb, kern)
+				if err != nil {
+					b.Fatal(err)
+				}
+				w := newWorkers(context.Background(), Config{Parallelism: 1}, c, kern)[0]
+				cs := make([]int, 0, 28)
+				for x := 2; x < 30; x++ {
+					cs = append(cs, x)
+				}
+				dst := make([]int32, len(cs)*k*k*k)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := kern.countBlock(c, 0, 1, cs, dst, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
-	b.SetBytes(int64(tb.NumRows()))
-}
-
-// BenchmarkACVPairKernel measures the 2-to-1 counting kernel — the
-// inner loop of stage 2 of the builder.
-func BenchmarkACVPairKernel(b *testing.B) {
-	tb := benchTable(b, 3, 3, 2000)
-	cnt := make([]int32, 27)
-	tailRow := make([]int32, tb.NumRows())
-	colA, colB := tb.Column(0), tb.Column(1)
-	for i := range tailRow {
-		tailRow[i] = int32(colA[i]-1)*3 + int32(colB[i]-1)
-	}
-	colC := tb.Column(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = acvPair(tailRow, colC, 3, cnt)
-	}
-	b.SetBytes(int64(tb.NumRows()))
-}
-
-// BenchmarkACVEdgeKernelBits measures the bitmap directed-edge kernel
-// on the same shape as BenchmarkACVEdgeKernel, for a direct
-// scalar-vs-bitset comparison.
-func BenchmarkACVEdgeKernelBits(b *testing.B) {
-	tb := benchTable(b, 2, 3, 2000)
-	ix := tb.Index()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = acvEdgeBits(ix, 0, 1)
-	}
-	b.SetBytes(int64(tb.NumRows()))
-}
-
-// BenchmarkACVPairKernelBits measures the bitmap 2-to-1 kernel on the
-// same shape as BenchmarkACVPairKernel. Like the scalar bench, the
-// per-pair tail materialization is done outside the loop: both are
-// amortized over the n-2 heads of a pair job.
-func BenchmarkACVPairKernelBits(b *testing.B) {
-	tb := benchTable(b, 3, 3, 2000)
-	ix := tb.Index()
-	pairBuf := make([]uint64, 9*ix.Words())
-	pairCnt := make([]int, 9)
-	fillTailPairBits(ix, 0, 1, pairBuf, pairCnt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = acvPairBits(ix, pairBuf, pairCnt, 2)
-	}
-	b.SetBytes(int64(tb.NumRows()))
 }
 
 // BenchmarkSupportCountScan / BenchmarkSupportCountBits compare the
@@ -135,16 +105,26 @@ func BenchmarkBuildAssociationTable(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildModel measures end-to-end model construction at a
-// moderate size (50 attributes, 1000 rows, k=3).
+// BenchmarkBuildModel measures end-to-end model construction at the
+// two mining shapes of the repository benchmark: k3 (30 attributes,
+// 20000 rows) runs the popcount kernel and k10 (20 attributes, 5000
+// rows) the row-scan kernel.
 func BenchmarkBuildModel(b *testing.B) {
-	tb := benchTable(b, 50, 3, 1000)
-	cfg := C1()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(tb, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range []struct {
+		name       string
+		n, k, rows int
+	}{{"k3", 30, 3, 20000}, {"k10", 20, 10, 5000}} {
+		b.Run(s.name, func(b *testing.B) {
+			tb := benchTable(b, s.n, s.k, s.rows)
+			tb.Index()
+			cfg := Config{GammaEdge: 1, GammaPair: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(tb, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -34,101 +34,6 @@ func TestSupportCountBitsMatchesScan(t *testing.T) {
 	}
 }
 
-// TestACVKernelsBitsMatchScalar: the bitmap edge/pair kernels must
-// produce bit-identical ACVs to the scalar reference kernels — the
-// sums are integer counts either way, so the final divisions are the
-// same floating-point operations.
-func TestACVKernelsBitsMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 15; trial++ {
-		k := 2 + rng.Intn(7) // 2..8, the gated range
-		tb := randTable(t, rng, 4, k, 30+rng.Intn(300))
-		ix := tb.Index()
-		m := tb.NumRows()
-		cntE := make([]int32, k*k)
-		cntP := make([]int32, k*k*k)
-		tailRow := make([]int32, m)
-		pairBuf := make([]uint64, k*k*ix.Words())
-		pairCnt := make([]int, k*k)
-		for a := 0; a < tb.NumAttrs(); a++ {
-			for c := 0; c < tb.NumAttrs(); c++ {
-				if a == c {
-					continue
-				}
-				scalar := acvEdge(tb.Column(a), tb.Column(c), k, cntE)
-				bits := acvEdgeBits(ix, a, c)
-				if scalar != bits {
-					t.Fatalf("trial %d: acvEdge(%d,%d) scalar=%v bits=%v", trial, a, c, scalar, bits)
-				}
-			}
-		}
-		for a := 0; a < tb.NumAttrs(); a++ {
-			for b := a + 1; b < tb.NumAttrs(); b++ {
-				colA, colB := tb.Column(a), tb.Column(b)
-				for i := 0; i < m; i++ {
-					tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
-				}
-				fillTailPairBits(ix, a, b, pairBuf, pairCnt)
-				for c := 0; c < tb.NumAttrs(); c++ {
-					if c == a || c == b {
-						continue
-					}
-					scalar := acvPair(tailRow, tb.Column(c), k, cntP)
-					bits := acvPairBits(ix, pairBuf, pairCnt, c)
-					if scalar != bits {
-						t.Fatalf("trial %d: acvPair({%d,%d},%d) scalar=%v bits=%v", trial, a, b, c, scalar, bits)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBuildBitsMatchesScalar: a full Build on the bitset kernels must
-// be byte-identical — same EdgeACV cache, same admitted edges in the
-// same order with the same weights — to a Build forced onto the scalar
-// kernels, across strategies and tail sizes.
-func TestBuildBitsMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		k := 2 + rng.Intn(4)
-		tb := randTable(t, rng, 5+rng.Intn(4), k, 60+rng.Intn(300))
-		for _, cfg := range []Config{
-			{GammaEdge: 1.0, GammaPair: 1.0},
-			{GammaEdge: 1.05, GammaPair: 1.02},
-			{GammaEdge: 1.0, GammaPair: 1.0, Candidates: EdgeSeeded},
-			{GammaEdge: 1.0, GammaPair: 1.0, MaxTailSize: 3},
-		} {
-			scalarCfg := cfg
-			scalarCfg.noBits = true
-			mBits, err := Build(tb, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mScalar, err := Build(tb, scalarCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range mScalar.EdgeACV {
-				if mBits.EdgeACV[i] != mScalar.EdgeACV[i] {
-					t.Fatalf("trial %d cfg %+v: EdgeACV[%d] bits=%v scalar=%v",
-						trial, cfg, i, mBits.EdgeACV[i], mScalar.EdgeACV[i])
-				}
-			}
-			eb, es := mBits.H.Edges(), mScalar.H.Edges()
-			if len(eb) != len(es) {
-				t.Fatalf("trial %d cfg %+v: %d edges with bits, %d with scalar", trial, cfg, len(eb), len(es))
-			}
-			for i := range eb {
-				if !intsEqual(eb[i].Tail, es[i].Tail) || !intsEqual(eb[i].Head, es[i].Head) ||
-					eb[i].Weight != es[i].Weight {
-					t.Fatalf("trial %d cfg %+v: edge %d bits=%+v scalar=%+v", trial, cfg, i, eb[i], es[i])
-				}
-			}
-		}
-	}
-}
-
 func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

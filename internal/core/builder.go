@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"hypermine/internal/hypergraph"
 	"hypermine/internal/runopt"
@@ -60,11 +60,6 @@ type Config struct {
 	// evaluations (0 = DefaultCheckEvery). Held by pointer so Config
 	// stays comparable; never persisted to JSON or snapshots.
 	Run *runopt.Hooks `json:"-"`
-
-	// noBits disables the TID-bitset counting kernels regardless of k.
-	// It exists so differential tests can force the scalar reference
-	// kernels; production callers leave it unset.
-	noBits bool
 }
 
 // DefaultCheckEvery is the default ACV-evaluation stride between
@@ -89,10 +84,16 @@ func (c Config) withDefaults() Config {
 	if c.GammaTriple == 0 {
 		c.GammaTriple = c.GammaPair
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return c
+}
+
+// workers resolves Parallelism for this process only; the model keeps
+// the caller's value, so its snapshot bytes do not depend on the host.
+func (c Config) workers() int {
+	if c.Parallelism > 0 {
+		return c.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 func (c Config) validate(tb *table.Table) error {
@@ -161,50 +162,6 @@ func (m *Model) AssociationTableFor(tail []int, head int) (*AssociationTable, er
 	return BuildAssociationTable(m.Table, tail, head)
 }
 
-// acvEdge computes ACV({a},{c}) with a caller-owned k*k scratch buffer.
-func acvEdge(colA, colC []table.Value, k int, cnt []int32) float64 {
-	for i := range cnt[:k*k] {
-		cnt[i] = 0
-	}
-	for i, va := range colA {
-		cnt[int(va-1)*k+int(colC[i]-1)]++
-	}
-	var sum int64
-	for r := 0; r < k; r++ {
-		best := int32(0)
-		for c := 0; c < k; c++ {
-			if v := cnt[r*k+c]; v > best {
-				best = v
-			}
-		}
-		sum += int64(best)
-	}
-	return float64(sum) / float64(len(colA))
-}
-
-// acvPair computes ACV({a,b},{c}) given the precomputed tail row index
-// per observation and a k*k*k scratch buffer.
-func acvPair(tailRow []int32, colC []table.Value, k int, cnt []int32) float64 {
-	kk := k * k
-	for i := range cnt[:kk*k] {
-		cnt[i] = 0
-	}
-	for i, tr := range tailRow {
-		cnt[int(tr)*k+int(colC[i]-1)]++
-	}
-	var sum int64
-	for r := 0; r < kk; r++ {
-		best := int32(0)
-		for c := 0; c < k; c++ {
-			if v := cnt[r*k+c]; v > best {
-				best = v
-			}
-		}
-		sum += int64(best)
-	}
-	return float64(sum) / float64(len(colC))
-}
-
 type pairEdge struct {
 	a, b, c int
 	acv     float64
@@ -226,9 +183,13 @@ func Build(tb *table.Table, cfg Config) (*Model, error) {
 // unset) and the whole build returns ctx.Err() promptly once the
 // context is canceled or its deadline passes, discarding partial
 // results. Config.Run.Progress, when set, observes stage progress.
+//
+// It counts each attribute pair once, then derives: stage 2 counts
+// each attribute triple once, one tail-pair block per job on
+// Config.Parallelism workers, and reads all three 2-to-1 candidates
+// of the triple from its cells (see counts.go).
 func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(tb); err != nil {
+	if err := cfg.withDefaults().validate(tb); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -237,205 +198,163 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 	if err := tb.Validate(); err != nil {
 		return nil, err
 	}
-	n := tb.NumAttrs()
-	k := tb.K()
-	m := tb.NumRows()
-
-	model := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
-	h, err := hypergraph.New(tb.Attrs())
+	kern := newCounter(tb)
+	c, err := countPairs(ctx, tb, kern)
 	if err != nil {
 		return nil, err
 	}
+	m, _, err := derive(ctx, tb, cfg, c, kern, nil)
+	return m, err
+}
+
+// DeriveContext mines the model of tb from counts of exactly tb's rows
+// (CountContext, then AddRowsContext per append): the same derive
+// BuildContext runs, so the result is bit-identical to BuildContext on
+// tb, and no row is rescanned before stage 3. Edges also present in
+// prev (which may be nil) share its vertex-id slices; the second
+// result counts them.
+func DeriveContext(ctx context.Context, tb *table.Table, cfg Config, c *Counts, prev *hypergraph.H) (*Model, int, error) {
+	if err := cfg.withDefaults().validate(tb); err != nil {
+		return nil, 0, err
+	}
+	if c.rows != tb.NumRows() || (c.triple == nil && cfg.withDefaults().MaxTailSize >= 2) {
+		return nil, 0, errors.New("core: counts do not cover the table")
+	}
+	return derive(ctx, tb, cfg, c, nil, prev)
+}
+
+// derive runs the admission pipeline on counts c of tb. Triples come
+// from c when resident, else each block is counted with kern.
+func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *counter, prev *hypergraph.H) (*Model, int, error) {
+	cfg = cfg.withDefaults()
+	n, k := c.n, c.k
+	model := &Model{Table: tb, Config: cfg, EdgeACV: make([]float64, n*n)}
+	h, err := hypergraph.New(tb.Attrs())
+	if err != nil {
+		return nil, 0, err
+	}
 	model.H = h
-
-	// Baseline ACV(empty, {c}) per head.
-	null := make([]float64, n)
-	for c := 0; c < n; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	shared := 0
+	addEdge := func(tail []int, head int, w float64) error {
+		if prev != nil {
+			if id, ok := prev.Lookup(tail, []int{head}); ok {
+				e := prev.Edge(id)
+				shared++
+				return h.AddEdgeShared(e.Tail, e.Head, w)
+			}
 		}
-		null[c] = NullACV(tb, c)
+		return h.AddEdge(tail, []int{head}, w)
 	}
 
-	// For small k the counting kernels run on the TID-bitset index
-	// (built once, shared by every worker); see bitsMaxK for the
-	// crossover argument.
-	useBits := k <= bitsMaxK && !cfg.noBits
-	var ix *table.Index
-	if useBits {
-		ix = tb.Index()
-	}
-
-	// Stage 1: all directed edges, parallel over heads. Workers poll
-	// ctx every CheckEvery ACVs; once canceled they drain the channel
-	// without computing so the feeder never blocks.
-	edgeAdmit := make([]bool, n*n)
+	// Stage 1: directed edges from the pair counts, head by head. The
+	// baseline ACV(empty,{c}) is the largest value count over the rows.
+	chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
 	prog := runopt.NewMeter(runopt.PhaseEdges, n, cfg.Run.Func())
-	var wg sync.WaitGroup
-	heads := make(chan int)
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			var cnt []int32
-			if !useBits {
-				cnt = make([]int32, k*k)
+	edgeAdmit := make([]bool, n*n)
+	for x := 0; x < n; x++ {
+		null := float64(slices.Max(c.val[x*k:(x+1)*k])) / float64(c.rows)
+		for a := 0; a < n; a++ {
+			if a == x {
+				continue
 			}
-			for c := range heads {
-				if chk.Err() != nil {
-					continue
-				}
-				colC := tb.Column(c)
-				for a := 0; a < n; a++ {
-					if a == c {
-						continue
-					}
-					if chk.Tick() != nil {
-						break
-					}
-					var acv float64
-					if useBits {
-						acv = acvEdgeBits(ix, a, c)
-					} else {
-						acv = acvEdge(tb.Column(a), colC, k, cnt)
-					}
-					model.EdgeACV[a*n+c] = acv
-					if acv >= cfg.GammaEdge*null[c] {
-						edgeAdmit[a*n+c] = true
-					}
-				}
-				if chk.Err() == nil {
-					prog.Tick(1)
-				}
+			if err := chk.Tick(); err != nil {
+				return nil, 0, err
 			}
-		}()
-	}
-	for c := 0; c < n && ctx.Err() == nil; c++ {
-		select {
-		case heads <- c:
-		case <-ctx.Done():
+			acv := c.edgeACV(a, x)
+			model.EdgeACV[a*n+x] = acv
+			edgeAdmit[a*n+x] = acv >= cfg.GammaEdge*null
 		}
+		prog.Tick(1)
 	}
-	close(heads)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
 	for a := 0; a < n; a++ {
-		for c := 0; c < n; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if edgeAdmit[a*n+c] {
-				if err := h.AddEdge([]int{a}, []int{c}, model.EdgeACV[a*n+c]); err != nil {
-					return nil, err
+		for x := 0; x < n; x++ {
+			if edgeAdmit[a*n+x] {
+				if err := addEdge([]int{a}, x, model.EdgeACV[a*n+x]); err != nil {
+					return nil, 0, err
 				}
 			}
 		}
 	}
 	if cfg.MaxTailSize < 2 {
-		return model, nil
+		return model, shared, nil
 	}
 
-	// Stage 2: 2-to-1 hyperedges, parallel over tail pairs.
-	type pairJob struct{ a, b int }
-	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
-	jobs := make(chan pairJob)
-	results := make(chan []pairEdge, cfg.Parallelism)
-	var wg2 sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg2.Add(1)
-		go func() {
-			defer wg2.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			var cnt, tailRow []int32
-			var pairBuf []uint64
-			var pairCnt []int
-			if useBits {
-				pairBuf = make([]uint64, k*k*ix.Words())
-				pairCnt = make([]int, k*k)
-			} else {
-				cnt = make([]int32, k*k*k)
-				tailRow = make([]int32, m)
-			}
-			var local []pairEdge
-			for job := range jobs {
-				if chk.Err() != nil {
-					continue
-				}
-				a, b := job.a, job.b
-				// Materialize the tail once per pair: k*k bitmaps for
-				// the bitset path, a per-row tail index otherwise.
-				// Either is reused across all n-2 heads below.
-				if useBits {
-					fillTailPairBits(ix, a, b, pairBuf, pairCnt)
-				} else {
-					colA, colB := tb.Column(a), tb.Column(b)
-					for i := 0; i < m; i++ {
-						tailRow[i] = int32(colA[i]-1)*int32(k) + int32(colB[i]-1)
-					}
-				}
-				for c := 0; c < n; c++ {
-					if c == a || c == b {
-						continue
-					}
-					if cfg.Candidates == EdgeSeeded && !edgeAdmit[a*n+c] && !edgeAdmit[b*n+c] {
-						continue
-					}
-					if chk.Tick() != nil {
-						break
-					}
-					base := model.EdgeACV[a*n+c]
-					if x := model.EdgeACV[b*n+c]; x > base {
-						base = x
-					}
-					var acv float64
-					if useBits {
-						acv = acvPairBits(ix, pairBuf, pairCnt, c)
-					} else {
-						acv = acvPair(tailRow, tb.Column(c), k, cnt)
-					}
-					if acv >= cfg.GammaPair*base {
-						local = append(local, pairEdge{a, b, c, acv})
-					}
-				}
-				if chk.Err() == nil {
-					prog2.Tick(1)
-				}
-			}
-			results <- local
-		}()
+	// Stage 2: 2-to-1 hyperedges, one tail-pair block (a, b) per job.
+	// Each triple (a, b, x), x > b, yields the candidates {a,b}->x,
+	// {a,x}->b and {b,x}->a. Stage 3 reads its constituent ACVs from
+	// sums, so it needs every triple; EdgeSeeded alone skips triples
+	// none of whose candidates is seeded.
+	var sums []int32
+	if cfg.MaxTailSize >= 3 {
+		sums = make([]int32, 3*c.numTriples())
 	}
-	go func() {
-		defer close(jobs)
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				select {
-				case jobs <- pairJob{a, b}:
-				case <-ctx.Done():
-					return
-				}
+	seeded := func(t1, t2, x int) bool {
+		return cfg.Candidates == AllPairs || edgeAdmit[t1*n+x] || edgeAdmit[t2*n+x]
+	}
+	rows := float64(c.rows)
+	admit := func(w *worker, t1, t2, x, sum int) error {
+		if !seeded(t1, t2, x) {
+			return nil
+		}
+		if err := w.chk.Tick(); err != nil {
+			return err
+		}
+		base := max(model.EdgeACV[t1*n+x], model.EdgeACV[t2*n+x])
+		if acv := float64(sum) / rows; acv >= cfg.GammaPair*base {
+			w.edges = append(w.edges, pairEdge{t1, t2, x, acv})
+		}
+		return nil
+	}
+	kkk := k * k * k
+	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
+	ws := newWorkers(ctx, cfg, c, kern)
+	if c.triple == nil {
+		for _, w := range ws {
+			w.block = make([]int32, (n-2)*kkk)
+		}
+	}
+	err = forPairs(ctx, n, ws, func(w *worker, a, b int) error {
+		cs := w.cs[:0]
+		for x := b + 1; x < n; x++ {
+			if sums != nil || seeded(a, b, x) || seeded(a, x, b) || seeded(b, x, a) {
+				cs = append(cs, x)
 			}
 		}
-	}()
-	var admitted []pairEdge
-	done := make(chan struct{})
-	go func() {
-		for local := range results {
-			admitted = append(admitted, local...)
+		w.cs = cs
+		cells := w.block
+		if c.triple != nil {
+			cells = c.triple[c.tripleOrd(a, b, b+1)*kkk:]
+		} else if err := kern.countBlock(c, a, b, cs, cells, w); err != nil {
+			return err
 		}
-		close(done)
-	}()
-	wg2.Wait()
-	close(results)
-	<-done
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		for _, x := range cs {
+			s0, s1, s2 := tripleSums(k, cells[(x-b-1)*kkk:][:kkk], w.m0, w.m1)
+			if sums != nil {
+				o := 3 * c.tripleOrd(a, b, x)
+				sums[o], sums[o+1], sums[o+2] = int32(s0), int32(s1), int32(s2)
+			}
+			if err := admit(w, a, b, x, s2); err != nil {
+				return err
+			}
+			if err := admit(w, a, x, b, s1); err != nil {
+				return err
+			}
+			if err := admit(w, b, x, a, s0); err != nil {
+				return err
+			}
+		}
+		prog2.Tick(1)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Deterministic edge order regardless of scheduling.
+	var admitted []pairEdge
+	for _, w := range ws {
+		admitted = append(admitted, w.edges...)
+	}
 	sort.Slice(admitted, func(i, j int) bool {
 		if admitted[i].a != admitted[j].a {
 			return admitted[i].a < admitted[j].a
@@ -447,46 +366,74 @@ func BuildContext(ctx context.Context, tb *table.Table, cfg Config) (*Model, err
 	})
 	for _, e := range admitted {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if err := h.AddEdge([]int{e.a, e.b}, []int{e.c}, e.acv); err != nil {
-			return nil, err
+		if err := addEdge([]int{e.a, e.b}, e.c, e.acv); err != nil {
+			return nil, 0, err
 		}
 	}
 	if cfg.MaxTailSize < 3 {
-		return model, nil
+		return model, shared, nil
 	}
-	if err := buildTriples(ctx, model, admitted, cfg); err != nil {
-		return nil, err
+	// The 2-to-1 ACV of tail {t1,t2} and head x, from the sums of the
+	// sorted triple; the head's rank in it picks the sum.
+	pairACV := func(t1, t2, x int) float64 {
+		t := [3]int{t1, t2, x}
+		sort.Ints(t[:])
+		return float64(sums[3*c.tripleOrd(t[0], t[1], t[2])+slices.Index(t[:], x)]) / rows
 	}
-	return model, nil
+	if err := buildTriples(ctx, model, admitted, cfg, pairACV, addEdge); err != nil {
+		return nil, 0, err
+	}
+	return model, shared, nil
 }
 
-// TailPair is an admitted 2-to-1 hyperedge ({A,B},{C}) with its ACV,
-// in the canonical A < B order stage 2 produces. It is the seed unit
-// for stage 3 and the exchange format between BuildContext and the
-// incremental re-miner in internal/delta.
-type TailPair struct {
-	A, B, C int
-	ACV     float64
+// tripleSums returns, for the k³ cells t of a triple x<y<z, the ACV
+// numerators of its three 2-to-1 candidates: s0 for head x (the sum
+// over (vy,vz) of the largest count over vx), s1 for head y, s2 for
+// head z. m0 and m1 are k² scratch.
+func tripleSums(k int, t, m0, m1 []int32) (s0, s1, s2 int) {
+	clear(m0)
+	clear(m1)
+	for vx := 0; vx < k; vx++ {
+		for vy := 0; vy < k; vy++ {
+			best := int32(0)
+			for vz, v := range t[(vx*k+vy)*k:][:k] {
+				best = max(best, v)
+				m0[vy*k+vz] = max(m0[vy*k+vz], v)
+				m1[vx*k+vz] = max(m1[vx*k+vz], v)
+			}
+			s2 += int(best)
+		}
+	}
+	for i := range m0 {
+		s0 += int(m0[i])
+		s1 += int(m1[i])
+	}
+	return s0, s1, s2
 }
 
-// BuildTriplesContext runs stage 3 of BuildContext standalone: it
-// seeds 3-to-1 candidates from the given admitted 2-to-1 hyperedges,
-// evaluates them against model.Table, and adds the admitted triples to
-// model.H in the same deterministic order as a full build. pairs must
-// be the complete admitted stage-2 set (A < B, sorted as stage 2
-// sorts); the result is then bit-identical to the stage-3 portion of
-// BuildContext under the same config. internal/delta uses this to
-// finish a MaxTailSize=3 incremental update, where maintaining 4-way
-// joint counts would not pay for itself.
-func BuildTriplesContext(ctx context.Context, model *Model, pairs []TailPair, cfg Config) error {
-	cfg = cfg.withDefaults()
-	internal := make([]pairEdge, len(pairs))
-	for i, p := range pairs {
-		internal[i] = pairEdge{p.A, p.B, p.C, p.ACV}
+// edgeACV computes ACV({a},{x}) from the pair counts: the sum over tail
+// values of the largest joint count, over the row count.
+func (c *Counts) edgeACV(a, x int) float64 {
+	k := c.k
+	var sum int64
+	if a < x {
+		cells := c.pair[c.pairBase(a, x):]
+		for va := 0; va < k; va++ {
+			sum += int64(slices.Max(cells[va*k : va*k+k]))
+		}
+	} else {
+		cells := c.pair[c.pairBase(x, a):]
+		for va := 0; va < k; va++ {
+			best := int32(0)
+			for vx := 0; vx < k; vx++ {
+				best = max(best, cells[vx*k+va])
+			}
+			sum += int64(best)
+		}
 	}
-	return buildTriples(ctx, model, internal, cfg)
+	return float64(sum) / float64(c.rows)
 }
 
 // tripleKey identifies a 3-to-1 candidate: sorted tail a<b<c, head d.
@@ -497,8 +444,9 @@ type tripleKey struct{ a, b, c, d int }
 // 2-to-1 hyperedge's tail with every other attribute, deduplicated,
 // and admitted under the gamma-significance rule of Definition 3.7 —
 // ACV(T, H) >= GammaTriple * max over v in T of ACV(T - {v}, H),
-// where the 2-to-1 constituent ACVs are computed on demand.
-func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Config) error {
+// where pairACV gives the 2-to-1 constituent ACVs stage 2 counted.
+func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Config,
+	pairACV func(t1, t2, x int) float64, addEdge func(tail []int, head int, w float64) error) error {
 	tb := model.Table
 	n := tb.NumAttrs()
 	k := tb.K()
@@ -535,131 +483,62 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 		return a.d < b.d
 	})
 
-	// Group by tail triple so the tail-row index is computed once.
+	// Group by tail triple so the tail-row index is computed once; each
+	// group writes its admissions to its own slot, in candidate order.
 	groups := groupByTail(cands)
-	type tripleEdge struct {
-		key tripleKey
-		acv float64
-	}
+	admitted := make([][]float64, len(groups))
 	prog := runopt.NewMeter(runopt.PhaseTriples, len(groups), cfg.Run.Func())
-	jobs := make(chan []tripleKey)
-	results := make(chan []tripleEdge, cfg.Parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			chk := runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery)
-			kkk := k * k * k
-			cnt := make([]int32, kkk*k)
-			pairCnt := make([]int32, kkk)
-			tailRow := make([]int32, m)
-			pairRow := make([]int32, m)
-			pairCache := map[tripleKey]float64{}
-			acvOfPair := func(x, y, d int) float64 {
-				key := tripleKey{x, y, -1, d}
-				if v, ok := pairCache[key]; ok {
-					return v
-				}
-				colX, colY := tb.Column(x), tb.Column(y)
-				for i := 0; i < m; i++ {
-					pairRow[i] = int32(colX[i]-1)*int32(k) + int32(colY[i]-1)
-				}
-				v := acvPair(pairRow, tb.Column(d), k, pairCnt)
-				pairCache[key] = v
-				return v
-			}
-			var local []tripleEdge
-			for group := range jobs {
-				if chk.Err() != nil {
-					continue
-				}
-				first := group[0]
-				colA, colB, colC := tb.Column(first.a), tb.Column(first.b), tb.Column(first.c)
-				for i := 0; i < m; i++ {
-					tailRow[i] = (int32(colA[i]-1)*int32(k)+int32(colB[i]-1))*int32(k) + int32(colC[i]-1)
-				}
-				for _, cand := range group {
-					if chk.Tick() != nil {
-						break
-					}
-					base := acvOfPair(cand.a, cand.b, cand.d)
-					if v := acvOfPair(cand.a, cand.c, cand.d); v > base {
-						base = v
-					}
-					if v := acvOfPair(cand.b, cand.c, cand.d); v > base {
-						base = v
-					}
-					colD := tb.Column(cand.d)
-					for i := range cnt[:kkk*k] {
-						cnt[i] = 0
-					}
-					for i, tr := range tailRow {
-						cnt[int(tr)*k+int(colD[i]-1)]++
-					}
-					var sum int64
-					for r := 0; r < kkk; r++ {
-						best := int32(0)
-						for c := 0; c < k; c++ {
-							if v := cnt[r*k+c]; v > best {
-								best = v
-							}
-						}
-						sum += int64(best)
-					}
-					acv := float64(sum) / float64(m)
-					if acv >= cfg.GammaTriple*base {
-						local = append(local, tripleEdge{cand, acv})
-					}
-				}
-				if chk.Err() == nil {
-					prog.Tick(1)
-				}
-			}
-			results <- local
-		}()
+	kkk := k * k * k
+	type scratch struct {
+		chk     *runopt.Checker
+		cnt     []int32
+		tailRow []int32
 	}
-	go func() {
-		defer close(jobs)
-		for _, group := range groups {
-			select {
-			case jobs <- group:
-			case <-ctx.Done():
-				return
+	ws := make([]*scratch, cfg.workers())
+	for i := range ws {
+		ws[i] = &scratch{runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery), make([]int32, kkk*k), make([]int32, m)}
+	}
+	err := parallel(ctx, len(groups), len(ws), func(w, g int) error {
+		s, group := ws[w], groups[g]
+		first := group[0]
+		colA, colB, colC := tb.Column(first.a), tb.Column(first.b), tb.Column(first.c)
+		for i := range s.tailRow {
+			s.tailRow[i] = (int32(colA[i]-1)*int32(k)+int32(colB[i]-1))*int32(k) + int32(colC[i]-1)
+		}
+		acvs := make([]float64, len(group))
+		for ci, cand := range group {
+			if err := s.chk.Tick(); err != nil {
+				return err
+			}
+			base := max(pairACV(cand.a, cand.b, cand.d), pairACV(cand.a, cand.c, cand.d), pairACV(cand.b, cand.c, cand.d))
+			colD := tb.Column(cand.d)
+			clear(s.cnt)
+			for i, tr := range s.tailRow {
+				s.cnt[int(tr)*k+int(colD[i]-1)]++
+			}
+			var sum int64
+			for r := 0; r < kkk; r++ {
+				sum += int64(slices.Max(s.cnt[r*k : r*k+k]))
+			}
+			acvs[ci] = -1
+			if acv := float64(sum) / float64(m); acv >= cfg.GammaTriple*base {
+				acvs[ci] = acv
 			}
 		}
-	}()
-	var admitted []tripleEdge
-	done := make(chan struct{})
-	go func() {
-		for local := range results {
-			admitted = append(admitted, local...)
-		}
-		close(done)
-	}()
-	wg.Wait()
-	close(results)
-	<-done
-	if err := ctx.Err(); err != nil {
+		admitted[g] = acvs
+		prog.Tick(1)
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-
-	sort.Slice(admitted, func(i, j int) bool {
-		a, b := admitted[i].key, admitted[j].key
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		if a.b != b.b {
-			return a.b < b.b
-		}
-		if a.c != b.c {
-			return a.c < b.c
-		}
-		return a.d < b.d
-	})
-	for _, e := range admitted {
-		if err := model.H.AddEdge([]int{e.key.a, e.key.b, e.key.c}, []int{e.key.d}, e.acv); err != nil {
-			return err
+	for g, group := range groups {
+		for ci, cand := range group {
+			if acv := admitted[g][ci]; acv >= 0 {
+				if err := addEdge([]int{cand.a, cand.b, cand.c}, cand.d, acv); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil

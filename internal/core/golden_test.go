@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hypermine/internal/table"
@@ -137,5 +138,29 @@ func TestGoldenSnapshotDigests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSnapshotIndependentOfGOMAXPROCS: Parallelism 0 means every CPU
+// of the building process, and the model keeps the 0 it was given, so
+// one table and config give the same snapshot bytes on any host.
+func TestSnapshotIndependentOfGOMAXPROCS(t *testing.T) {
+	tb := goldenTable(t, 3)
+	var snaps [][]byte
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		m, err := Build(tb, Config{GammaEdge: 1.2, GammaPair: 1.03})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, m, SaveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, buf.Bytes())
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("snapshot bytes differ between GOMAXPROCS 1 and 2")
 	}
 }

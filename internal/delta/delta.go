@@ -8,27 +8,26 @@
 // Every ACV the builder computes is an integer sum divided by the row
 // count: ACV(T, {C}) = (Σ over tail cells of the max head-value joint
 // count) / rows. The integer numerators are exactly maintainable under
-// appends, so a Dataset keeps persistent joint-count tables —
-// per-attribute value counts, unordered-pair counts (k² cells per
-// attribute pair), and unordered-triple counts (k³ cells per attribute
-// triple) — and updates them in O(appended · n³) increment time per
-// append, with no rescans of old rows. Re-deriving the model from the
-// updated counts reproduces the exact integer sums of
-// core.BuildContext on the concatenated table, hence the exact float64
-// ACVs, the exact gamma-significance admissions, and the exact edge
-// order. The differential tests in this package pin that equivalence,
-// bit for bit, across randomized append schedules.
+// appends, so a Dataset keeps the builder's own joint-count tables
+// (core.Counts) resident — per-attribute value counts, unordered-pair
+// counts (k² cells per attribute pair), and unordered-triple counts
+// (k³ cells per attribute triple) — and updates them in
+// O(appended · n³) increment time per append, with no rescans of old
+// rows. It then re-derives the model with core.DeriveContext, the very
+// derive core.BuildContext runs on counts it has just made, so the
+// integer sums, the float64 ACVs, the gamma-significance admissions
+// and the edge order are those of a full build on the concatenated
+// table. The differential tests in this package pin that equivalence,
+// bit for bit, against a naive reference miner, across randomized
+// append schedules.
 //
-// Counts are seeded once per Dataset from the table's TID-bitset index
-// (the PR-1 bitmap kernels: one PopcountAnd per joint cell), and the
-// index itself is extended copy-on-write per append (see
-// table.AppendRows), so no stage of the pipeline rescans old rows.
-//
-// A MaxTailSize=3 configuration would need 4-way joint counts to
-// delta-update stage 3; instead the Dataset maintains counts through
-// stage 2 and finishes with core.BuildTriplesContext — the very
-// function a full build runs — on the concatenated table, keeping
-// bit-for-bit equivalence at the cost of one stage-3 pass.
+// Counts are seeded once per Dataset by core.CountContext, with the
+// builder's counting kernels (popcount over the TID index or a row
+// scan, whichever the table's shape favours) in parallel over
+// tail-pair blocks. A MaxTailSize=3 configuration would need 4-way
+// joint counts to delta-update stage 3; instead the derive finishes
+// stage 3 on the concatenated table, reading its 2-to-1 constituent
+// ACVs from the maintained triples, at the cost of one stage-3 pass.
 //
 // # Structural sharing and fallback
 //
@@ -41,7 +40,8 @@
 // If the joint-count tables would exceed Options.MaxCountBytes (large
 // n·k), the Dataset degrades to a documented fallback: each append
 // runs a full core.BuildContext on the concatenated table — still
-// reusing the incrementally extended TID index — so correctness is
+// reusing the incrementally extended TID index where the popcount
+// kernel runs — so correctness is
 // unchanged and only the republish latency loses its incremental
 // advantage.
 package delta
@@ -53,8 +53,6 @@ import (
 	"sync"
 
 	"hypermine/internal/core"
-	"hypermine/internal/hypergraph"
-	"hypermine/internal/runopt"
 	"hypermine/internal/table"
 )
 
@@ -100,9 +98,9 @@ func (c Changes) Unchanged() bool { return c.Appended == 0 }
 type Dataset struct {
 	mu     sync.Mutex
 	model  *core.Model
-	cfg    core.Config
 	opts   Options
-	counts *jointCounts // nil = fallback mode (full re-mine per apply)
+	counts *core.Counts // nil = fallback mode (full re-mine per apply)
+	bytes  int64        // resident size of counts
 }
 
 // New wraps an existing mined model into a live dataset, seeding the
@@ -122,24 +120,22 @@ func NewContext(ctx context.Context, m *core.Model, opts Options) (*Dataset, err
 	if err := m.RequireRows(); err != nil {
 		return nil, fmt.Errorf("delta: %w", err)
 	}
-	d := &Dataset{model: m, cfg: m.Config, opts: opts}
-	if d.cfg.MaxTailSize == 0 {
-		d.cfg.MaxTailSize = 2
-	}
-	if d.cfg.GammaTriple == 0 {
-		d.cfg.GammaTriple = d.cfg.GammaPair
-	}
+	d := &Dataset{model: m, opts: opts}
 	max := opts.MaxCountBytes
 	if max == 0 {
 		max = DefaultMaxCountBytes
 	}
 	tb := m.Table
-	if max > 0 && countBytes(tb.NumAttrs(), tb.K(), d.cfg.MaxTailSize) <= max {
-		jc, err := seedCounts(ctx, tb, d.cfg.MaxTailSize)
+	maxTail := m.Config.MaxTailSize
+	if maxTail == 0 {
+		maxTail = 2
+	}
+	if b := core.CountBytes(tb.NumAttrs(), tb.K(), maxTail); max > 0 && b <= max {
+		c, err := core.CountContext(ctx, tb, m.Config)
 		if err != nil {
 			return nil, err
 		}
-		d.counts = jc
+		d.counts, d.bytes = c, b
 	}
 	return d, nil
 }
@@ -156,10 +152,7 @@ func (d *Dataset) Model() *core.Model {
 func (d *Dataset) CountBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.counts == nil {
-		return 0
-	}
-	return countBytes(d.counts.n, d.counts.k, d.cfg.MaxTailSize)
+	return d.bytes
 }
 
 // AppendRowsContext appends observations (row-major, one value per
@@ -211,22 +204,21 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 	ch := Changes{Appended: len(rows), EdgesBefore: old.H.NumEdges()}
 	var m *core.Model
 	if d.counts != nil {
-		if err := d.counts.add(ctx, rows); err != nil {
+		if err := d.counts.AddRowsContext(ctx, rows); err != nil {
 			return nil, Changes{}, err
 		}
 		var err error
-		m, err = d.derive(ctx, nt, &ch)
+		m, ch.SharedEdges, err = core.DeriveContext(ctx, nt, old.Config, d.counts, old.H)
 		if err != nil {
 			// Roll the counts back so the dataset still matches
 			// d.model exactly; a canceled apply must leave no trace.
-			d.counts.sub(rows)
+			d.counts.SubRows(rows)
 			return nil, Changes{}, err
 		}
 	} else {
 		ch.FullRebuild = true
-		cfg := d.cfg
 		var err error
-		m, err = core.BuildContext(ctx, nt, cfg)
+		m, err = core.BuildContext(ctx, nt, old.Config)
 		if err != nil {
 			return nil, Changes{}, err
 		}
@@ -234,120 +226,4 @@ func (d *Dataset) applyLocked(ctx context.Context, nt *table.Table, rows [][]tab
 	ch.EdgesAfter = m.H.NumEdges()
 	d.model = m
 	return m, ch, nil
-}
-
-// derive re-runs the admission pipeline of core.BuildContext against
-// the maintained joint counts: identical integer sums, identical
-// float64 ACVs, identical admissions, identical edge order — with no
-// scan of any row. Stage 3 (MaxTailSize=3) delegates to
-// core.BuildTriplesContext on the concatenated table.
-func (d *Dataset) derive(ctx context.Context, nt *table.Table, ch *Changes) (*core.Model, error) {
-	jc := d.counts
-	cfg := d.cfg
-	oldH := d.model.H
-	n, k := jc.n, jc.k
-	model := &core.Model{Table: nt, Config: d.model.Config, EdgeACV: make([]float64, n*n)}
-	h, err := hypergraph.New(nt.Attrs())
-	if err != nil {
-		return nil, err
-	}
-	model.H = h
-
-	addEdge := func(tail, head []int, w float64) error {
-		if id, ok := oldH.Lookup(tail, head); ok {
-			e := oldH.Edge(id)
-			ch.SharedEdges++
-			return h.AddEdgeShared(e.Tail, e.Head, w)
-		}
-		return h.AddEdge(tail, head, w)
-	}
-
-	// Stage 1: directed edges. Baseline ACV(∅,{c}) is the max value
-	// count over the rows; admissions mirror BuildContext's head-major
-	// parallel stage, and edges land in the same (a, c) order.
-	chk := runopt.NewChecker(ctx, cfg.Run.Stride(), core.DefaultCheckEvery)
-	prog := runopt.NewMeter(runopt.PhaseEdges, n, cfg.Run.Func())
-	null := make([]float64, n)
-	for c := 0; c < n; c++ {
-		best := int32(0)
-		for v := 0; v < k; v++ {
-			if x := jc.val[c*k+v]; x > best {
-				best = x
-			}
-		}
-		null[c] = float64(best) / float64(jc.rows)
-	}
-	edgeAdmit := make([]bool, n*n)
-	for c := 0; c < n; c++ {
-		for a := 0; a < n; a++ {
-			if a == c {
-				continue
-			}
-			if err := chk.Tick(); err != nil {
-				return nil, err
-			}
-			acv := jc.edgeACV(a, c)
-			model.EdgeACV[a*n+c] = acv
-			if acv >= cfg.GammaEdge*null[c] {
-				edgeAdmit[a*n+c] = true
-			}
-		}
-		prog.Tick(1)
-	}
-	for a := 0; a < n; a++ {
-		for c := 0; c < n; c++ {
-			if edgeAdmit[a*n+c] {
-				if err := addEdge([]int{a}, []int{c}, model.EdgeACV[a*n+c]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if cfg.MaxTailSize < 2 {
-		return model, nil
-	}
-
-	// Stage 2: 2-to-1 hyperedges from the triple counts. The serial
-	// a<b, c loops produce the admitted list already in BuildContext's
-	// post-sort (a, b, c) order.
-	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
-	var admitted []core.TailPair
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			for c := 0; c < n; c++ {
-				if c == a || c == b {
-					continue
-				}
-				if cfg.Candidates == core.EdgeSeeded && !edgeAdmit[a*n+c] && !edgeAdmit[b*n+c] {
-					continue
-				}
-				if err := chk.Tick(); err != nil {
-					return nil, err
-				}
-				base := model.EdgeACV[a*n+c]
-				if x := model.EdgeACV[b*n+c]; x > base {
-					base = x
-				}
-				acv := jc.pairACV(a, b, c)
-				if acv >= cfg.GammaPair*base {
-					admitted = append(admitted, core.TailPair{A: a, B: b, C: c, ACV: acv})
-				}
-			}
-			prog2.Tick(1)
-		}
-	}
-	for _, e := range admitted {
-		if err := addEdge([]int{e.A, e.B}, []int{e.C}, e.ACV); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.MaxTailSize < 3 {
-		return model, nil
-	}
-	// Stage 3 runs the full builder's own triple stage on the
-	// concatenated table — same function, same inputs, same result.
-	if err := core.BuildTriplesContext(ctx, model, admitted, cfg); err != nil {
-		return nil, err
-	}
-	return model, nil
 }

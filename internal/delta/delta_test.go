@@ -9,6 +9,7 @@ import (
 	"hypermine/internal/core"
 	"hypermine/internal/delta"
 	"hypermine/internal/table"
+	"hypermine/internal/testutil/oracle"
 )
 
 // genRows draws n rows whose attributes correlate through a hidden
@@ -76,19 +77,32 @@ func modelsEqual(t *testing.T, got, want *core.Model) {
 	}
 }
 
-// fullRemine builds the ground truth: core.Build on the concatenated
-// table (fresh copy so no index state is shared with the dataset).
-func fullRemine(t *testing.T, attrs []string, k int, all [][]table.Value, cfg core.Config) *core.Model {
+// matchesOracle asserts that a dataset's model is, bit for bit, the
+// model the naive reference miner computes from the concatenated rows.
+// The oracle counts straight from rows and shares no code with the
+// counts and derive both core.Build and the dataset run.
+func matchesOracle(t *testing.T, got *core.Model, attrs []string, k int, all [][]table.Value, cfg core.Config) {
 	t.Helper()
 	tb, err := table.FromRows(attrs, k, all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.Build(tb, cfg)
-	if err != nil {
+	if got.Table.NumRows() != len(all) {
+		t.Fatalf("rows: got %d want %d", got.Table.NumRows(), len(all))
+	}
+	p := oracle.Params{
+		GammaEdge: cfg.GammaEdge, GammaPair: cfg.GammaPair, GammaTriple: cfg.GammaTriple,
+		MaxTailSize: cfg.MaxTailSize, EdgeSeeded: cfg.Candidates == core.EdgeSeeded,
+	}
+	if p.MaxTailSize == 0 {
+		p.MaxTailSize = 2
+	}
+	if p.GammaTriple == 0 {
+		p.GammaTriple = p.GammaPair
+	}
+	if err := oracle.Mine(tb, p).Diff(got.EdgeACV, got.H); err != nil {
 		t.Fatal(err)
 	}
-	return m
 }
 
 // attrNames generates attribute names a0..a{n-1}.
@@ -103,7 +117,7 @@ func attrNames(n int) []string {
 // runSchedule is the differential harness: mine a base table, wrap it
 // in a Dataset, run a randomized append schedule (drifting the
 // distribution so admissions cross thresholds both ways), and after
-// every step require delta.Apply ≡ core.Build on the concatenated
+// every step require delta.Apply ≡ the oracle on the concatenated
 // table, bit for bit.
 func runSchedule(t *testing.T, seed int64, attrs, k int, cfg core.Config, opts delta.Options, steps int) {
 	t.Helper()
@@ -140,7 +154,7 @@ func runSchedule(t *testing.T, seed int64, attrs, k int, cfg core.Config, opts d
 		if ch.Appended != len(batch) {
 			t.Fatalf("step %d: Changes.Appended=%d want %d", step, ch.Appended, len(batch))
 		}
-		modelsEqual(t, got, fullRemine(t, names, k, all, cfg))
+		matchesOracle(t, got, names, k, all, cfg)
 	}
 }
 
@@ -171,9 +185,9 @@ func TestDifferentialMaxTailSize3(t *testing.T) {
 	runSchedule(t, 5, 6, 3, cfg, delta.Options{}, 4)
 }
 
-// TestDifferentialScalarKernels drives k past the bitset crossover
-// (bitsMaxK = 8) so the ground-truth build uses the scalar reference
-// kernels — the maintained counts must match those bit for bit too.
+// TestDifferentialScalarKernels drives k past the popcount/scan
+// crossover so the counts are seeded by the row-scan kernel; the other
+// schedules (k = 3, 5) seed by popcount.
 func TestDifferentialScalarKernels(t *testing.T) {
 	cfg := core.Config{K: 9, GammaEdge: 1.1, GammaPair: 1.03}
 	runSchedule(t, 6, 5, 9, cfg, delta.Options{}, 4)
@@ -237,7 +251,7 @@ func TestThresholdCrossingsBothDirections(t *testing.T) {
 	if _, ok := got.H.Lookup([]int{2}, []int{1}); !ok {
 		t.Fatal("edge z->y should have been promoted by the correlated append")
 	}
-	modelsEqual(t, got, fullRemine(t, names, 2, all, cfg))
+	matchesOracle(t, got, names, 2, all, cfg)
 }
 
 // TestNoOpAppend pins that a zero-row append returns the previous
@@ -382,7 +396,7 @@ func TestCanceledAppendLeavesDatasetIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsEqual(t, got, fullRemine(t, names, 3, all, core.C1()))
+	matchesOracle(t, got, names, 3, all, core.C1())
 }
 
 // TestInvalidAppendRejected pins validation atomicity at the dataset
