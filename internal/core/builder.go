@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -355,14 +356,8 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 	for _, w := range ws {
 		admitted = append(admitted, w.edges...)
 	}
-	sort.Slice(admitted, func(i, j int) bool {
-		if admitted[i].a != admitted[j].a {
-			return admitted[i].a < admitted[j].a
-		}
-		if admitted[i].b != admitted[j].b {
-			return admitted[i].b < admitted[j].b
-		}
-		return admitted[i].c < admitted[j].c
+	slices.SortFunc(admitted, func(x, y pairEdge) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.c, y.c))
 	})
 	for _, e := range admitted {
 		if err := ctx.Err(); err != nil {

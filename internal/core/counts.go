@@ -138,12 +138,12 @@ func countPairs(ctx context.Context, tb *table.Table, kern *counter) (*Counts, e
 
 // popcountWins reports whether the popcount kernel is cheaper than the
 // scan kernel for a table of the given cardinality and row count. One
-// AND+popcount word costs about a third of one scanned row (measured
-// with BenchmarkCountBlock on amd64), so popcount wins while
-// (k-1)³·⌈rows/64⌉ < 3·rows, which holds for k <= 6.
+// AND+popcount word costs about as much as one scanned row
+// (BenchmarkCountBlock), so popcount wins while (k-1)³·⌈rows/64⌉ <
+// rows: up to k = 4, with k = 5 a near tie.
 func popcountWins(k, rows int) bool {
 	l := k - 1
-	return l*l*l*((rows+63)/64) < 3*rows
+	return l*l*l*((rows+63)/64) < rows
 }
 
 // counter counts joint cells of one table with the kernel popcountWins

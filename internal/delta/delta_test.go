@@ -186,8 +186,8 @@ func TestDifferentialMaxTailSize3(t *testing.T) {
 }
 
 // TestDifferentialScalarKernels drives k past the popcount/scan
-// crossover so the counts are seeded by the row-scan kernel; the other
-// schedules (k = 3, 5) seed by popcount.
+// crossover so the counts are seeded by the row-scan kernel, as the
+// k = 5 schedule is; the k = 3 schedules seed by popcount.
 func TestDifferentialScalarKernels(t *testing.T) {
 	cfg := core.Config{K: 9, GammaEdge: 1.1, GammaPair: 1.03}
 	runSchedule(t, 6, 5, 9, cfg, delta.Options{}, 4)
