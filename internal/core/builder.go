@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -280,31 +279,16 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 		return model, shared, nil
 	}
 
-	// Stage 2: 2-to-1 hyperedges, one tail-pair block (a, b) per job.
-	// Each triple (a, b, x), x > b, yields the candidates {a,b}->x,
-	// {a,x}->b and {b,x}->a. Stage 3 reads its constituent ACVs from
-	// sums, so it needs every triple; EdgeSeeded alone skips triples
-	// none of whose candidates is seeded.
-	var sums []int32
-	if cfg.MaxTailSize >= 3 {
-		sums = make([]int32, 3*c.numTriples())
-	}
+	// Stage 2: 2-to-1 hyperedges. Workers take one tail-pair block
+	// (a, b) per job; each triple (a, b, x), x > b, gives the ACV sums
+	// of its candidates {b,x}->a, {a,x}->b and {a,b}->x, stored at
+	// sums[c.candIndex(...)]. Then one pass admits the candidates in
+	// (tail, head) order, so the edge order needs no sort. EdgeSeeded
+	// skips triples none of whose candidates is seeded, unless stage 3
+	// will read their sums.
+	sums := make([]int32, 3*c.numTriples())
 	seeded := func(t1, t2, x int) bool {
 		return cfg.Candidates == AllPairs || edgeAdmit[t1*n+x] || edgeAdmit[t2*n+x]
-	}
-	rows := float64(c.rows)
-	admit := func(w *worker, t1, t2, x, sum int) error {
-		if !seeded(t1, t2, x) {
-			return nil
-		}
-		if err := w.chk.Tick(); err != nil {
-			return err
-		}
-		base := max(model.EdgeACV[t1*n+x], model.EdgeACV[t2*n+x])
-		if acv := float64(sum) / rows; acv >= cfg.GammaPair*base {
-			w.edges = append(w.edges, pairEdge{t1, t2, x, acv})
-		}
-		return nil
 	}
 	kkk := k * k * k
 	prog2 := runopt.NewMeter(runopt.PhasePairs, n*(n-1)/2, cfg.Run.Func())
@@ -317,7 +301,7 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 	err = forPairs(ctx, n, ws, func(w *worker, a, b int) error {
 		cs := w.cs[:0]
 		for x := b + 1; x < n; x++ {
-			if sums != nil || seeded(a, b, x) || seeded(a, x, b) || seeded(b, x, a) {
+			if cfg.MaxTailSize >= 3 || seeded(a, b, x) || seeded(a, x, b) || seeded(b, x, a) {
 				cs = append(cs, x)
 			}
 		}
@@ -329,20 +313,12 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 			return err
 		}
 		for _, x := range cs {
+			if err := w.chk.Tick(); err != nil {
+				return err
+			}
 			s0, s1, s2 := tripleSums(k, cells[(x-b-1)*kkk:][:kkk], w.m0, w.m1)
-			if sums != nil {
-				o := 3 * c.tripleOrd(a, b, x)
-				sums[o], sums[o+1], sums[o+2] = int32(s0), int32(s1), int32(s2)
-			}
-			if err := admit(w, a, b, x, s2); err != nil {
-				return err
-			}
-			if err := admit(w, a, x, b, s1); err != nil {
-				return err
-			}
-			if err := admit(w, b, x, a, s0); err != nil {
-				return err
-			}
+			o := 3 * c.tripleOrd(a, b, x)
+			sums[o], sums[o+1], sums[o+2] = int32(s0), int32(s1), int32(s2)
 		}
 		prog2.Tick(1)
 		return nil
@@ -350,37 +326,52 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 	if err != nil {
 		return nil, 0, err
 	}
-
-	// Deterministic edge order regardless of scheduling.
+	rows := float64(c.rows)
+	pairACV := func(t1, t2, x int) float64 { return float64(sums[c.candIndex(t1, t2, x)]) / rows }
 	var admitted []pairEdge
-	for _, w := range ws {
-		admitted = append(admitted, w.edges...)
-	}
-	slices.SortFunc(admitted, func(x, y pairEdge) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b), cmp.Compare(x.c, y.c))
-	})
-	for _, e := range admitted {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		if err := addEdge([]int{e.a, e.b}, e.c, e.acv); err != nil {
-			return nil, 0, err
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			for x := 0; x < n; x++ {
+				if x == a || x == b || !seeded(a, b, x) {
+					continue
+				}
+				if err := chk.Tick(); err != nil {
+					return nil, 0, err
+				}
+				base := max(model.EdgeACV[a*n+x], model.EdgeACV[b*n+x])
+				if acv := pairACV(a, b, x); acv >= cfg.GammaPair*base {
+					admitted = append(admitted, pairEdge{a, b, x, acv})
+					if err := addEdge([]int{a, b}, x, acv); err != nil {
+						return nil, 0, err
+					}
+				}
+			}
 		}
 	}
 	if cfg.MaxTailSize < 3 {
 		return model, shared, nil
 	}
-	// The 2-to-1 ACV of tail {t1,t2} and head x, from the sums of the
-	// sorted triple; the head's rank in it picks the sum.
-	pairACV := func(t1, t2, x int) float64 {
-		t := [3]int{t1, t2, x}
-		sort.Ints(t[:])
-		return float64(sums[3*c.tripleOrd(t[0], t[1], t[2])+slices.Index(t[:], x)]) / rows
-	}
 	if err := buildTriples(ctx, model, admitted, cfg, pairACV, addEdge); err != nil {
 		return nil, 0, err
 	}
 	return model, shared, nil
+}
+
+// candIndex is the index in derive's sums of the 2-to-1 candidate with
+// tail {t1,t2} and head h: three slots per sorted triple, by the rank
+// of the head in it.
+func (c *Counts) candIndex(t1, t2, h int) int {
+	if t1 > t2 {
+		t1, t2 = t2, t1
+	}
+	switch {
+	case h < t1:
+		return 3 * c.tripleOrd(h, t1, t2)
+	case h < t2:
+		return 3*c.tripleOrd(t1, h, t2) + 1
+	default:
+		return 3*c.tripleOrd(t1, t2, h) + 2
+	}
 }
 
 // tripleSums returns, for the k³ cells t of a triple x<y<z, the ACV

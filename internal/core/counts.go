@@ -286,7 +286,6 @@ type worker struct {
 	buf   []uint64 // popcount kernel: tail-pair bitmap
 	m0    []int32  // derive scratch: per-(vb,vc) max over va
 	m1    []int32  // derive scratch: per-(va,vc) max over vb
-	edges []pairEdge
 }
 
 // newWorkers makes cfg.workers() worker states; kern is the kernel
