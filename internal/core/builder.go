@@ -217,7 +217,8 @@ func DeriveContext(ctx context.Context, tb *table.Table, cfg Config, c *Counts, 
 	if err := cfg.withDefaults().validate(tb); err != nil {
 		return nil, 0, err
 	}
-	if c.rows != tb.NumRows() || (c.triple == nil && cfg.withDefaults().MaxTailSize >= 2) {
+	if c.n != tb.NumAttrs() || c.k != tb.K() || c.rows != tb.NumRows() ||
+		(c.triple == nil && cfg.withDefaults().MaxTailSize >= 2) {
 		return nil, 0, errors.New("core: counts do not cover the table")
 	}
 	return derive(ctx, tb, cfg, c, nil, prev)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -356,6 +357,16 @@ func parallel(ctx context.Context, jobs, workers int, fn func(w, j int) error) e
 // already-applied prefix is rolled back, so the tables always describe
 // a whole number of appends.
 func (c *Counts) AddRowsContext(ctx context.Context, rows [][]table.Value) error {
+	for i, row := range rows {
+		if len(row) != c.n {
+			return fmt.Errorf("core: row %d has %d values, want %d", i, len(row), c.n)
+		}
+		for _, v := range row {
+			if v < 1 || int(v) > c.k {
+				return fmt.Errorf("core: row %d has value %d outside 1..%d", i, v, c.k)
+			}
+		}
+	}
 	chk := runopt.NewChecker(ctx, 1, 1)
 	for i, row := range rows {
 		if err := chk.Tick(); err != nil {

@@ -246,3 +246,65 @@ func TestPlantedStructure(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveContextRejectsMismatchedCounts: DeriveContext derives only
+// from counts of exactly the table given, with triples when the config
+// needs them; on matching counts it equals Build.
+func TestDeriveContextRejectsMismatchedCounts(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(14))
+	tb := hiddenStateTable(t, rng, 5, 3, 80, 0.4)
+	edgesOnly := Config{GammaEdge: 1.1, GammaPair: 1.03, MaxTailSize: 1, Parallelism: 2}
+	c, err := CountContext(ctx, tb, edgesOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string]struct {
+		tb  *table.Table
+		cfg Config
+	}{
+		"other rows":  {hiddenStateTable(t, rng, 5, 3, 81, 0.4), edgesOnly},
+		"other attrs": {hiddenStateTable(t, rng, 6, 3, 80, 0.4), edgesOnly},
+		"other k":     {hiddenStateTable(t, rng, 5, 4, 80, 0.4), edgesOnly},
+		"no triples":  {tb, Config{GammaEdge: 1.1, GammaPair: 1.03, Parallelism: 2}},
+	} {
+		if _, _, err := DeriveContext(ctx, in.tb, in.cfg, c, nil); err == nil {
+			t.Errorf("%s: DeriveContext accepted counts of another table", name)
+		}
+	}
+	got, _, err := DeriveContext(ctx, tb, edgesOnly, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(tb, edgesOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModels(t, want, got)
+}
+
+// TestAddRowsRejectsMalformedRows: a row of the wrong width or with a
+// value outside 1..k is an error, and leaves the counts unchanged.
+func TestAddRowsRejectsMalformedRows(t *testing.T) {
+	ctx := context.Background()
+	tb := hiddenStateTable(t, rand.New(rand.NewSource(15)), 4, 3, 40, 0.4)
+	cfg := Config{GammaEdge: 1.1, GammaPair: 1.03, Parallelism: 1}
+	c, err := CountContext(ctx, tb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rows := range [][][]table.Value{{{1, 2, 3}}, {{1, 2, 3, 1}, {1, 2, 4, 1}}, {{0, 1, 1, 1}}} {
+		if err := c.AddRowsContext(ctx, rows); err == nil {
+			t.Errorf("AddRowsContext accepted %v", rows)
+		}
+	}
+	m, _, err := DeriveContext(ctx, tb, cfg, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(tb, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModels(t, want, m)
+}
