@@ -162,11 +162,6 @@ func (m *Model) AssociationTableFor(tail []int, head int) (*AssociationTable, er
 	return BuildAssociationTable(m.Table, tail, head)
 }
 
-type pairEdge struct {
-	a, b, c int
-	acv     float64
-}
-
 // Build mines the association hypergraph of the table under the given
 // configuration, following §3.2.1: directed hyperedges are constructed
 // head set by head set; a combination is admitted iff it is
@@ -329,7 +324,6 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 	}
 	rows := float64(c.rows)
 	pairACV := func(t1, t2, x int) float64 { return float64(sums[c.candIndex(t1, t2, x)]) / rows }
-	var admitted []pairEdge
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			for x := 0; x < n; x++ {
@@ -341,7 +335,6 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 				}
 				base := max(model.EdgeACV[a*n+x], model.EdgeACV[b*n+x])
 				if acv := pairACV(a, b, x); acv >= cfg.GammaPair*base {
-					admitted = append(admitted, pairEdge{a, b, x, acv})
 					if err := addEdge([]int{a, b}, x, acv); err != nil {
 						return nil, 0, err
 					}
@@ -352,7 +345,7 @@ func derive(ctx context.Context, tb *table.Table, cfg Config, c *Counts, kern *c
 	if cfg.MaxTailSize < 3 {
 		return model, shared, nil
 	}
-	if err := buildTriples(ctx, model, admitted, cfg, pairACV, addEdge); err != nil {
+	if err := buildTriples(ctx, model, cfg, pairACV, addEdge); err != nil {
 		return nil, 0, err
 	}
 	return model, shared, nil
@@ -432,7 +425,7 @@ type tripleKey struct{ a, b, c, d int }
 // and admitted under the gamma-significance rule of Definition 3.7 —
 // ACV(T, H) >= GammaTriple * max over v in T of ACV(T - {v}, H),
 // where pairACV gives the 2-to-1 constituent ACVs stage 2 counted.
-func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Config,
+func buildTriples(ctx context.Context, model *Model, cfg Config,
 	pairACV func(t1, t2, x int) float64, addEdge func(tail []int, head int, w float64) error) error {
 	tb := model.Table
 	n := tb.NumAttrs()
@@ -442,14 +435,18 @@ func buildTriples(ctx context.Context, model *Model, pairs []pairEdge, cfg Confi
 	// Enumerate candidates: each admitted ({a,b},{d}) extends to
 	// ({a,b,v},{d}) for all v outside {a,b,d}.
 	candSet := make(map[tripleKey]struct{})
-	for _, p := range pairs {
+	for _, e := range model.H.Edges() {
+		if len(e.Tail) != 2 {
+			continue
+		}
+		a, b, d := e.Tail[0], e.Tail[1], e.Head[0]
 		for v := 0; v < n; v++ {
-			if v == p.a || v == p.b || v == p.c {
+			if v == a || v == b || v == d {
 				continue
 			}
-			t := [3]int{p.a, p.b, v}
+			t := [3]int{a, b, v}
 			sort.Ints(t[:])
-			candSet[tripleKey{t[0], t[1], t[2], p.c}] = struct{}{}
+			candSet[tripleKey{t[0], t[1], t[2], d}] = struct{}{}
 		}
 	}
 	cands := make([]tripleKey, 0, len(candSet))

@@ -290,9 +290,15 @@ type worker struct {
 }
 
 // newWorkers makes cfg.workers() worker states; kern is the kernel
-// their blocks are counted with, nil when they only derive.
+// their blocks are counted with, nil when they only derive. Deriving
+// from resident counts only sums cells, about a millisecond on the
+// benchmark's 30-attribute table, and split over two goroutines it ran
+// slower (BenchmarkSeedAndAppend), so it gets one.
 func newWorkers(ctx context.Context, cfg Config, c *Counts, kern *counter) []*worker {
 	ws := make([]*worker, cfg.workers())
+	if kern == nil {
+		ws = ws[:1]
+	}
 	for i := range ws {
 		w := &worker{
 			chk: runopt.NewChecker(ctx, cfg.Run.Stride(), DefaultCheckEvery),

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"hypermine/internal/core"
 	"hypermine/internal/delta"
@@ -423,5 +425,48 @@ func TestInvalidAppendRejected(t *testing.T) {
 	}
 	if ds.Model() != m0 {
 		t.Fatal("failed append moved the dataset's model")
+	}
+}
+
+// BenchmarkSeedAndAppend times, from a model of 30 attributes by 20000
+// rows at k=3, what a served model's first writes pay: seeding the
+// counts, then appends of 1, 10 and 100 rows. It reports the median of
+// each in ms.
+func BenchmarkSeedAndAppend(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rows := genRows(rng, 20000, 30, 3, 0.33, 0)
+	tb, err := table.FromRows(attrNames(30), 3, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m0, err := core.Build(tb, core.Config{GammaEdge: 1, GammaPair: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := [][][]table.Value{genRows(rng, 1, 30, 3, 0.33, 0), genRows(rng, 10, 30, 3, 0.33, 0), genRows(rng, 100, 30, 3, 0.33, 0)}
+	var ms [4][]float64
+	lap := func(i int, t0 time.Time) { ms[i] = append(ms[i], float64(time.Since(t0).Microseconds())/1000) }
+	for i := 0; i < b.N; i++ {
+		fresh, err := table.FromRows(tb.Attrs(), 3, rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := time.Now()
+		ds, err := delta.New(&core.Model{Table: fresh, Config: m0.Config, H: m0.H, EdgeACV: m0.EdgeACV}, delta.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lap(0, t0)
+		for j, batch := range batches {
+			t0 := time.Now()
+			if _, _, err := ds.AppendRowsContext(context.Background(), batch); err != nil {
+				b.Fatal(err)
+			}
+			lap(j+1, t0)
+		}
+	}
+	for i, name := range []string{"seed_ms", "r1_ms", "r10_ms", "r100_ms"} {
+		sort.Float64s(ms[i])
+		b.ReportMetric(ms[i][len(ms[i])/2], name)
 	}
 }
