@@ -23,8 +23,8 @@
 //
 // Counts are seeded once per Dataset by core.CountContext, with the
 // builder's counting kernels (popcount over the TID index or a row
-// scan, whichever the table's shape favours), on one goroutine so that
-// seeding leaves a CPU to the reads of the process serving the model. A MaxTailSize=3 configuration would need 4-way
+// scan, whichever the table's shape favours), in parallel over
+// tail-pair blocks. A MaxTailSize=3 configuration would need 4-way
 // joint counts to delta-update stage 3; instead the derive finishes
 // stage 3 on the concatenated table, reading its 2-to-1 constituent
 // ACVs from the maintained triples, at the cost of one stage-3 pass.
@@ -131,13 +131,7 @@ func NewContext(ctx context.Context, m *core.Model, opts Options) (*Dataset, err
 		maxTail = 2
 	}
 	if b := core.CountBytes(tb.NumAttrs(), tb.K(), maxTail); max > 0 && b <= max {
-		// Seed on one goroutine. A Dataset lives in a serving process and
-		// seeds on the first append after a load; on two CPUs a second
-		// seeding worker saved ~8 ms of seeding but took the CPU that
-		// concurrent reads needed, and their p99 rose ~12%.
-		seed := m.Config
-		seed.Parallelism = 1
-		c, err := core.CountContext(ctx, tb, seed)
+		c, err := core.CountContext(ctx, tb, m.Config)
 		if err != nil {
 			return nil, err
 		}
