@@ -62,11 +62,12 @@ type Config struct {
 	Run *runopt.Hooks `json:"-"`
 }
 
-// DefaultCheckEvery is the default ACV-evaluation stride between
-// context polls in BuildContext. One ACV evaluation is O(rows) (or
-// O(rows/64) on the bitset path), so 16 of them keep cancellation
-// latency in the tens of microseconds on paper-scale tables while
-// making the poll cost unmeasurable against the counting work.
+// DefaultCheckEvery is the default work-unit stride between context
+// polls in BuildContext. A unit is one ACV evaluation from counts, or
+// one triple counted (O(rows) by row scan, O((k-1)·rows/64) per tail
+// cell by popcount), so 16 of them keep cancellation latency in the
+// tens of microseconds on paper-scale tables while making the poll
+// cost unmeasurable against the counting work.
 const DefaultCheckEvery = 16
 
 // C1 is configuration C1 of §5.1.2: k=3, gamma_{1->1}=1.15,

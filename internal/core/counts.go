@@ -76,13 +76,13 @@ func (c *Counts) tripleOrd(a, b, x int) int { return c.tripleOff[a][b-a-1] + x -
 
 func (c *Counts) numTriples() int { return c.n * (c.n - 1) * (c.n - 2) / 6 }
 
-// CountBytes is the resident size of the count tables for n attributes
-// at cardinality k: value counts, pair cells and, for MaxTailSize >= 2,
-// triple cells, 4 bytes each.
-func CountBytes(n, k, maxTailSize int) int64 {
-	nn, kk := int64(n), int64(k)
+// CountBytes is the resident size of the count tables CountContext
+// makes for tb under cfg: value counts, pair cells and, for MaxTailSize
+// >= 2, triple cells, 4 bytes each.
+func CountBytes(tb *table.Table, cfg Config) int64 {
+	nn, kk := int64(tb.NumAttrs()), int64(tb.K())
 	b := 4 * (nn*kk + nn*(nn-1)/2*kk*kk)
-	if maxTailSize >= 2 {
+	if cfg.withDefaults().MaxTailSize >= 2 {
 		b += 4 * (nn * (nn - 1) * (nn - 2) / 6 * kk * kk * kk)
 	}
 	return b

@@ -125,13 +125,8 @@ func NewContext(ctx context.Context, m *core.Model, opts Options) (*Dataset, err
 	if max == 0 {
 		max = DefaultMaxCountBytes
 	}
-	tb := m.Table
-	maxTail := m.Config.MaxTailSize
-	if maxTail == 0 {
-		maxTail = 2
-	}
-	if b := core.CountBytes(tb.NumAttrs(), tb.K(), maxTail); max > 0 && b <= max {
-		c, err := core.CountContext(ctx, tb, m.Config)
+	if b := core.CountBytes(m.Table, m.Config); max > 0 && b <= max {
+		c, err := core.CountContext(ctx, m.Table, m.Config)
 		if err != nil {
 			return nil, err
 		}
