@@ -109,9 +109,13 @@ func (at *AssociationTable) ACV() float64 {
 // the thesis's future-work generalization.
 const MaxTail = 3
 
-// BuildAssociationTable scans the table once and produces the AT for
-// (tail, {head}). Tail must have between one and MaxTail distinct
-// attributes, all distinct from head.
+// BuildAssociationTable produces the AT for (tail, {head}). Tail must
+// have between one and MaxTail distinct attributes, all distinct from
+// head. A tail of one or two attributes is counted by popcount over the
+// table's TID index when the index is already built and the popcount
+// kernel wins at the table's k and row count (counts.go); otherwise,
+// and for three-attribute tails, the table is scanned once. Both give
+// the same counts.
 func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationTable, error) {
 	if len(tail) < 1 || len(tail) > MaxTail {
 		return nil, fmt.Errorf("core: tail size %d outside 1..%d", len(tail), MaxTail)
@@ -147,6 +151,10 @@ func BuildAssociationTable(tb *table.Table, tail []int, head int) (*AssociationT
 		M:          m,
 		Counts:     make([]int32, rows),
 		HeadCounts: make([]int32, rows*k),
+	}
+	if kern := indexedCounter(tb); kern != nil && len(st) <= 2 {
+		kern.countAssociation(at)
+		return at, nil
 	}
 	hc := tb.Column(head)
 	switch len(st) {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"hypermine/internal/table"
+	"hypermine/internal/testutil/oracle"
 )
 
 func TestBuildAssociationTableSingleTail(t *testing.T) {
@@ -222,5 +225,71 @@ func TestFastKernelsMatchAT(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAssociationTablePopcountMatchesScan: on tables on both sides of
+// popcountWins, an AT built from the TID index has the counts of the
+// row scan (the same table without an index) and of a row-by-row tally,
+// and its ACV equals the oracle's, for every one- and two-attribute
+// tail with the head below, between and above the tail attributes.
+func TestAssociationTablePopcountMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sides := map[bool]int{}
+	for trial := 0; trial < 16; trial++ {
+		k := 2 + trial%4
+		rows := 1 + rng.Intn(400)
+		tb := randTable(t, rng, 5, k, rows)
+		scanTb := tb.Clone()
+		tb.Index()
+		pop := indexedCounter(tb) != nil
+		if pop != popcountWins(k, rows) || indexedCounter(scanTb) != nil {
+			t.Fatalf("k=%d rows=%d: kernel choice popcount=%v, want %v and scan without an index", k, rows, pop, popcountWins(k, rows))
+		}
+		sides[pop]++
+		n := tb.NumAttrs()
+		var tails [][]int
+		for a := 0; a < n; a++ {
+			tails = append(tails, []int{a})
+			for b := a + 1; b < n; b++ {
+				tails = append(tails, []int{a, b})
+			}
+		}
+		for _, tail := range tails {
+			for head := 0; head < n; head++ {
+				if slices.Contains(tail, head) {
+					continue
+				}
+				name := fmt.Sprintf("k=%d rows=%d popcount=%v tail=%v head=%d", k, rows, pop, tail, head)
+				got, err := BuildAssociationTable(tb, tail, head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan, err := BuildAssociationTable(scanTb, tail, head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]int32, len(got.HeadCounts))
+				for i := 0; i < rows; i++ {
+					row := 0
+					for _, a := range tail {
+						row = row*k + int(tb.At(i, a)-1)
+					}
+					want[row*k+int(tb.At(i, head)-1)]++
+				}
+				if !slices.Equal(got.HeadCounts, want) || !slices.Equal(scan.HeadCounts, want) {
+					t.Fatalf("%s: head counts %v, scan %v, tally %v", name, got.HeadCounts, scan.HeadCounts, want)
+				}
+				if !slices.Equal(got.Counts, scan.Counts) {
+					t.Fatalf("%s: counts %v, scan %v", name, got.Counts, scan.Counts)
+				}
+				if acv := got.ACV(); acv != oracle.ACV(tb, tail, head) {
+					t.Fatalf("%s: ACV %v, oracle %v", name, acv, oracle.ACV(tb, tail, head))
+				}
+			}
+		}
+	}
+	if sides[true] == 0 || sides[false] == 0 {
+		t.Fatalf("trials covered kernel sides %v, want both", sides)
 	}
 }

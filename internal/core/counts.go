@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,6 +31,10 @@ import (
 //
 // Per triple the popcount kernel costs (k-1)³·⌈rows/64⌉ word operations
 // and the scan kernel rows increments; popcountWins compares the two.
+//
+// BuildAssociationTable counts the one pair or triple behind an
+// association table with the popcount kernel too (countAssociation),
+// when the table's index is already built and popcountWins holds.
 
 // Counts holds the joint-count tables of one table. Layout is flat
 // int32 arrays at precomputed offsets: unordered pairs (a<b) carry k²
@@ -167,7 +172,14 @@ func newCounter(tb *table.Table) *counter {
 // filled first: they are the pair's margins.
 func (kern *counter) countPair(c *Counts, a, b int) {
 	k := c.k
-	cells := c.pair[c.pairBase(a, b):][:k*k]
+	kern.pairCells(a, b, c.pair[c.pairBase(a, b):][:k*k], c.val[a*k:], c.val[b*k:])
+}
+
+// pairCells fills cells with the k² joint counts of attributes a < b,
+// cell (va-1)*k+(vb-1); valA and valB are the value counts of a and b,
+// the pair's margins.
+func (kern *counter) pairCells(a, b int, cells, valA, valB []int32) {
+	k := kern.tb.K()
 	if kern.ix == nil {
 		clear(cells)
 		colB := kern.tb.Column(b)
@@ -182,7 +194,7 @@ func (kern *counter) countPair(c *Counts, a, b int) {
 			cells[va*k+vb] = int32(table.PopcountAnd(pa, kern.ix.Posting(b, table.Value(vb+1))))
 		}
 	}
-	completeMargins(k, cells, k, 1, c.val[a*k:], 1, c.val[b*k:], 1)
+	completeMargins(k, cells, k, 1, valA, 1, valB, 1)
 }
 
 // countBlock fills the k³ cells of every triple (a, b, x), x in cs, at
@@ -210,49 +222,138 @@ func (kern *counter) countBlock(c *Counts, a, b int, cs []int, dst []int32, w *w
 		return nil
 	}
 
-	// Popcount the (k-1)³ cells with no value at k.
-	l := k - 1
-	ix := kern.ix
 	pab := c.pair[c.pairBase(a, b):][:kk]
+	if err := kern.popcountTriples(a, b, pab, cs, b+1, dst, w); err != nil {
+		return err
+	}
+	for _, x := range cs {
+		completeTriple(k, dst[(x-b-1)*kkk:][:kkk], pab, c.pair[c.pairBase(a, x):], c.pair[c.pairBase(b, x):])
+	}
+	return nil
+}
+
+// popcountTriples fills, for every triple (a, b, x), x in cs, the
+// (k-1)³ cells with no value at k, at dst[(x-base)*k³:]. pab holds the
+// k² cells of pair (a, b): a zero tail cell needs no popcount. w.buf
+// is scratch; w.chk, when set, is ticked once per (tail cell, x).
+func (kern *counter) popcountTriples(a, b int, pab []int32, cs []int, base int, dst []int32, w *worker) error {
+	k, ix := kern.tb.K(), kern.ix
+	l, kkk := k-1, k*k*k
 	for va := 0; va < l; va++ {
 		pa := ix.Posting(a, table.Value(va+1))
 		for vb := 0; vb < l; vb++ {
 			cell := (va*k + vb) * k
 			if pab[va*k+vb] == 0 {
 				for _, x := range cs {
-					clear(dst[(x-b-1)*kkk+cell:][:l])
+					clear(dst[(x-base)*kkk+cell:][:l])
 				}
 				continue
 			}
 			copy(w.buf, pa)
 			table.AndInto(w.buf, ix.Posting(b, table.Value(vb+1)))
 			for _, x := range cs {
-				if err := w.chk.Tick(); err != nil {
-					return err
+				if w.chk != nil {
+					if err := w.chk.Tick(); err != nil {
+						return err
+					}
 				}
-				out := dst[(x-b-1)*kkk+cell:][:l]
+				out := dst[(x-base)*kkk+cell:][:l]
 				for vc := range out {
 					out[vc] = int32(table.PopcountAnd(w.buf, ix.Posting(x, table.Value(vc+1))))
 				}
 			}
 		}
 	}
-	// Subtract for the rest: each head-value plane vc < k-1 from the
-	// pairs (a, x) and (b, x), then the plane vc = k-1 from (a, b).
-	for _, x := range cs {
-		cells := dst[(x-b-1)*kkk:][:kkk]
-		pax, pbx := c.pair[c.pairBase(a, x):], c.pair[c.pairBase(b, x):]
-		for vc := 0; vc < l; vc++ {
-			completeMargins(k, cells[vc:], kk, k, pax[vc:], k, pbx[vc:], k)
+	return nil
+}
+
+// completeTriple fills the cells of triple (a, b, x) that have a value
+// at k, given its (k-1)³ popcounted cells and its margins, the pairs
+// (a, b), (a, x) and (b, x): each head-value plane vc < k-1 from pax
+// and pbx, then the plane vc = k-1 from pab.
+func completeTriple(k int, cells, pab, pax, pbx []int32) {
+	l, kk := k-1, k*k
+	for vc := 0; vc < l; vc++ {
+		completeMargins(k, cells[vc:], kk, k, pax[vc:], k, pbx[vc:], k)
+	}
+	for t, s := range pab {
+		for _, v := range cells[t*k : t*k+l] {
+			s -= v
 		}
-		for t, s := range pab {
-			for _, v := range cells[t*k : t*k+l] {
-				s -= v
-			}
-			cells[t*k+l] = s
-		}
+		cells[t*k+l] = s
+	}
+}
+
+// indexedCounter returns the popcount counter of tb when its TID index
+// is already built and popcountWins holds, and nil otherwise: like
+// SupportCount, one association table is not worth an index build.
+func indexedCounter(tb *table.Table) *counter {
+	if !popcountWins(tb.K(), tb.NumRows()) {
+		return nil
+	}
+	if ix := tb.IndexIfBuilt(); ix != nil {
+		return &counter{tb: tb, ix: ix}
 	}
 	return nil
+}
+
+// countAssociation fills the counts of at, whose tail has one or two
+// attributes, by popcount: the pair or triple of its tail and head
+// attributes is counted as CountContext counts it, in ascending
+// attribute order, then read out tail-major.
+func (kern *counter) countAssociation(at *AssociationTable) {
+	k, kk := at.K, at.K*at.K
+	var ab, sb [3]int
+	attrs := append(append(ab[:0], at.Tail...), at.Head)
+	s := append(sb[:0], attrs...)
+	slices.Sort(s)
+	val := make([]int32, len(s)*k)
+	for i, u := range s {
+		for v := range k {
+			val[i*k+v] = int32(kern.ix.Count(u, table.Value(v+1)))
+		}
+	}
+	var cells []int32
+	if len(s) == 2 {
+		cells = make([]int32, kk)
+		kern.pairCells(s[0], s[1], cells, val, val[k:])
+	} else {
+		p := make([]int32, 3*kk) // pairs (s0,s1), (s0,s2), (s1,s2)
+		kern.pairCells(s[0], s[1], p[:kk], val, val[k:])
+		kern.pairCells(s[0], s[2], p[kk:2*kk], val, val[2*k:])
+		kern.pairCells(s[1], s[2], p[2*kk:], val[k:], val[2*k:])
+		cells = make([]int32, kk*k)
+		// One triple is not worth polling a context: without a checker
+		// popcountTriples cannot fail.
+		w := &worker{buf: make([]uint64, kern.ix.Words())}
+		_ = kern.popcountTriples(s[0], s[1], p[:kk], s[2:], s[2], cells, w)
+		completeTriple(k, cells, p[:kk], p[kk:2*kk], p[2*kk:])
+	}
+	// An attribute's stride in cells is k to the number of larger ones.
+	var stride [3]int
+	for i, u := range attrs {
+		stride[i] = 1
+		for _, x := range s {
+			if x > u {
+				stride[i] *= k
+			}
+		}
+	}
+	nt := len(at.Tail)
+	for row := range at.Counts {
+		off, r := 0, row
+		for i := nt - 1; i >= 0; i-- {
+			off += r % k * stride[i]
+			r /= k
+		}
+		hc := at.HeadCounts[row*k:][:k]
+		var n int32
+		for vh := range hc {
+			hc[vh] = cells[off+vh*stride[nt]]
+			n += hc[vh]
+		}
+		at.Counts[row] = n
+	}
 }
 
 // completeMargins fills the last row and column of a k×k slice of

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hypermine/internal/runopt"
 	"hypermine/internal/table"
@@ -62,66 +63,90 @@ func MineRulesContext(ctx context.Context, m *Model, head int, opt MineOptions) 
 	}
 	chk := runopt.NewChecker(ctx, opt.Run.Stride(), 1)
 	prog := runopt.NewMeter(runopt.PhaseRules, len(m.H.In(head)), opt.Run.Func())
-	baseCounts := m.Table.ValueCounts(head)
-	n := m.Table.NumRows()
-	var out []ScoredRule
-	for _, ei := range m.H.In(head) {
+	var cands []ruleCandidate
+	for i, ei := range m.H.In(head) {
 		if err := chk.Tick(); err != nil {
 			return nil, err
 		}
-		e := m.H.Edge(int(ei))
-		at, err := BuildAssociationTable(m.Table, e.Tail, head)
+		at, err := BuildAssociationTable(m.Table, m.H.Edge(int(ei)).Tail, head)
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]table.Value, len(at.Tail))
-		var walk func(depth, row int)
-		walk = func(depth, row int) {
-			if depth == len(at.Tail) {
-				supp := at.Support(row)
-				if supp == 0 || supp < opt.MinSupport {
-					return
-				}
-				conf := at.Confidence(row)
-				if conf < opt.MinConfidence {
-					return
-				}
-				best, _ := at.Best(row)
-				x := make([]Item, len(at.Tail))
-				for i, a := range at.Tail {
-					x[i] = Item{Attr: a, Val: vals[i]}
-				}
-				r := ScoredRule{
-					Rule:       Rule{X: x, Y: []Item{{Attr: head, Val: best}}},
-					Support:    supp,
-					Confidence: conf,
-				}
-				if base := float64(baseCounts[best-1]) / float64(n); base > 0 {
-					r.Lift = conf / base
-				}
-				out = append(out, r)
-				return
-			}
-			for v := 1; v <= at.K; v++ {
-				vals[depth] = table.Value(v)
-				walk(depth+1, row*at.K+(v-1))
-			}
-		}
-		walk(0, 0)
+		cands = appendCandidates(cands, at, int32(i), opt)
 		prog.Tick(1)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		si := out[i].Support * out[i].Confidence
-		sj := out[j].Support * out[j].Confidence
-		if si != sj {
-			return si > sj
+	// Candidates were appended in (in, row) order, so breaking ties on
+	// it makes the order total and the same as a stable sort's.
+	slices.SortFunc(cands, func(a, b ruleCandidate) int {
+		if sa, sb := a.supp*a.conf, b.supp*b.conf; sa != sb {
+			return cmp.Compare(sb, sa)
 		}
-		return out[i].Confidence > out[j].Confidence
+		if a.conf != b.conf {
+			return cmp.Compare(b.conf, a.conf)
+		}
+		return cmp.Or(cmp.Compare(a.in, b.in), cmp.Compare(a.row, b.row))
 	})
-	if opt.MaxRules > 0 && len(out) > opt.MaxRules {
-		out = out[:opt.MaxRules]
+	if opt.MaxRules > 0 && len(cands) > opt.MaxRules {
+		cands = cands[:opt.MaxRules]
 	}
-	return out, nil
+	return buildRules(m, head, cands), nil
+}
+
+// ruleCandidate is a rule MineRulesContext ranks before building it. A
+// built rule carries two slices: sorting rules moves pointers under
+// write barriers, and building every rule only to return MaxRules of
+// them allocates thousands per head on the benchmark's k3 model.
+type ruleCandidate struct {
+	in, row    int32 // position of the edge in m.H.In(head); AT row
+	best       table.Value
+	supp, conf float64
+}
+
+// appendCandidates appends a candidate for each row of at, the AT of
+// the edge at position in of its head's in-list, that has support and
+// passes opt's thresholds.
+func appendCandidates(cands []ruleCandidate, at *AssociationTable, in int32, opt MineOptions) []ruleCandidate {
+	for row := range at.Counts {
+		supp := at.Support(row)
+		if supp == 0 || supp < opt.MinSupport {
+			continue
+		}
+		conf := at.Confidence(row)
+		if conf < opt.MinConfidence {
+			continue
+		}
+		best, _ := at.Best(row)
+		cands = append(cands, ruleCandidate{in: in, row: int32(row), best: best, supp: supp, conf: conf})
+	}
+	return cands
+}
+
+// buildRules builds the rules of the candidates into head, in order.
+func buildRules(m *Model, head int, cands []ruleCandidate) []ScoredRule {
+	if len(cands) == 0 {
+		return nil
+	}
+	in := m.H.In(head)
+	k, n := m.Table.K(), m.Table.NumRows()
+	baseCounts := m.Table.ValueCounts(head)
+	out := make([]ScoredRule, len(cands))
+	for i, c := range cands {
+		tail := m.H.Edge(int(in[c.in])).Tail
+		x := make([]Item, len(tail))
+		for j, row := len(tail)-1, int(c.row); j >= 0; j-- {
+			x[j] = Item{Attr: tail[j], Val: table.Value(row%k + 1)}
+			row /= k
+		}
+		out[i] = ScoredRule{
+			Rule:       Rule{X: x, Y: []Item{{Attr: head, Val: c.best}}},
+			Support:    c.supp,
+			Confidence: c.conf,
+		}
+		if base := float64(baseCounts[c.best-1]) / float64(n); base > 0 {
+			out[i].Lift = c.conf / base
+		}
+	}
+	return out
 }
 
 // FormatRule renders a rule with the table's attribute names, e.g.

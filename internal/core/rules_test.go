@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"hypermine/internal/table"
 )
 
 func TestMineRulesInterestDB(t *testing.T) {
@@ -131,5 +136,93 @@ func TestReadModelJSONRejectsCorrupt(t *testing.T) {
 	badEdge := `{"config":{},"k":2,"attrs":["A","B"],"rows":[[1,1]],"edges":[{"tail":[0],"head":[0],"weight":1}],"edgeACV":[0,0,0,0]}`
 	if _, err := ReadModelJSON(strings.NewReader(badEdge)); err == nil {
 		t.Error("want error for overlapping edge")
+	}
+}
+
+// refMineRules is MineRules written the direct way: every rule built
+// as its association-table row is walked, then all of them stably
+// sorted. It builds the tables from an index-less copy of the table,
+// so they are counted by row scan.
+func refMineRules(t *testing.T, m *Model, head int, opt MineOptions) []ScoredRule {
+	t.Helper()
+	tb := m.Table.Clone()
+	baseCounts := tb.ValueCounts(head)
+	var out []ScoredRule
+	for _, ei := range m.H.In(head) {
+		at, err := BuildAssociationTable(tb, m.H.Edge(int(ei)).Tail, head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]table.Value, len(at.Tail))
+		var walk func(depth, row int)
+		walk = func(depth, row int) {
+			if depth == len(at.Tail) {
+				supp := at.Support(row)
+				if supp == 0 || supp < opt.MinSupport {
+					return
+				}
+				conf := at.Confidence(row)
+				if conf < opt.MinConfidence {
+					return
+				}
+				best, _ := at.Best(row)
+				x := make([]Item, len(at.Tail))
+				for i, a := range at.Tail {
+					x[i] = Item{Attr: a, Val: vals[i]}
+				}
+				r := ScoredRule{Rule: Rule{X: x, Y: []Item{{Attr: head, Val: best}}}, Support: supp, Confidence: conf}
+				if base := float64(baseCounts[best-1]) / float64(tb.NumRows()); base > 0 {
+					r.Lift = conf / base
+				}
+				out = append(out, r)
+				return
+			}
+			for v := 1; v <= at.K; v++ {
+				vals[depth] = table.Value(v)
+				walk(depth+1, row*at.K+(v-1))
+			}
+		}
+		walk(0, 0)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		si := out[i].Support * out[i].Confidence
+		sj := out[j].Support * out[j].Confidence
+		if si != sj {
+			return si > sj
+		}
+		return out[i].Confidence > out[j].Confidence
+	})
+	if opt.MaxRules > 0 && len(out) > opt.MaxRules {
+		out = out[:opt.MaxRules]
+	}
+	return out
+}
+
+// TestMineRulesMatchesReference: MineRules on an indexed table returns
+// exactly the rules, in exactly the order, of refMineRules, ties
+// included, with and without thresholds and a cap, for models with
+// tails of up to two and three attributes.
+func TestMineRulesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, maxTail := range []int{2, 3} {
+		tb := hiddenStateTable(t, rng, 7, 3, 300, 0.5)
+		m, err := Build(tb, Config{GammaEdge: 1, GammaPair: 1, GammaTriple: 1, MaxTailSize: maxTail})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.IndexIfBuilt() == nil {
+			t.Fatal("the k=3 build left no TID index")
+		}
+		for head := 0; head < tb.NumAttrs(); head++ {
+			for _, opt := range []MineOptions{{}, {MaxRules: 7}, {MinSupport: 0.05, MinConfidence: 0.5}} {
+				got, err := MineRules(m, head, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := refMineRules(t, m, head, opt); !reflect.DeepEqual(got, want) {
+					t.Fatalf("maxTail %d head %d %+v: got %d rules %v, reference %d rules %v", maxTail, head, opt, len(got), got, len(want), want)
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,14 @@
 // set that was warm before — so a hot model stays hot across an
 // append, with the rebuild cost paid inside the republish instead of
 // by the first unlucky query.
+//
+// That cost is mostly the similarity graph and the classifier's
+// association tables (rule answers are rebuilt lazily, per query).
+// Neither rereads the rows when it can avoid it: the graph matches
+// edges by substitution context in flat arrays, and because the
+// carried index is already built, core.BuildAssociationTable counts
+// each table by popcount (while the popcount kernel wins at the
+// table's k and row count) instead of scanning every row.
 package engine
 
 import (

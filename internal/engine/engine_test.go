@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -160,9 +163,7 @@ func TestSimilarDifferential(t *testing.T) {
 
 	// Ranking: the v1 counterpart is the all-pairs graph
 	// (BuildSimilarityGraph) — the engine memoizes exactly that build,
-	// so every ranked distance must equal the v1 matrix cell. (Direct
-	// Distance(a, v) can differ in the last ulp for v < a because the
-	// matrix computes each cell once as Distance(min, max).)
+	// so every ranked distance must equal the v1 matrix cell.
 	a := 2
 	all := make([]int, h.NumVertices())
 	for i := range all {
@@ -195,6 +196,33 @@ func TestSimilarDifferential(t *testing.T) {
 	for i := range got {
 		if got[i].Name != want[i].name || got[i].Distance != want[i].d {
 			t.Fatalf("rank %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSimilarPairMatchesGraph: a pair answer is the graph cell of its
+// two attributes, in both argument orders.
+func TestSimilarPairMatchesGraph(t *testing.T) {
+	ctx := context.Background()
+	m := testModel(t, 12, 14, 400, 0)
+	e := newEngine(t, m, Options{})
+	g, err := e.SimilarityGraph(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.H
+	for a := 0; a < h.NumVertices(); a++ {
+		for b := 0; b < h.NumVertices(); b++ {
+			if a == b {
+				continue
+			}
+			resp, err := e.Do(ctx, &Request{Similar: &SimilarRequest{A: h.VertexName(a), B: h.VertexName(b)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := *resp.Similar.Distance; math.Float64bits(d) != math.Float64bits(g.Dist(a, b)) {
+				t.Fatalf("pair (%d, %d): distance %v, graph cell %v", a, b, d, g.Dist(a, b))
+			}
 		}
 	}
 }
@@ -696,5 +724,104 @@ func TestPredictZeroAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("warm PredictBatch allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestAnswersWithAndWithoutIndex: the association tables behind rules
+// and classification are counted by popcount when the table's TID index
+// is built and by a row scan when it is not. MineRules, NewABC and the
+// engine's answers must be byte-identical either way, on models with
+// tails of up to two and up to three attributes.
+func TestAnswersWithAndWithoutIndex(t *testing.T) {
+	ctx := context.Background()
+	for _, maxTail := range []int{0, 3} {
+		m := testModel(t, 16, 12, 600, maxTail)
+		bare := *m
+		bare.Table = m.Table.Clone()
+		if m.Table.IndexIfBuilt() == nil {
+			t.Fatal("the k=3 build left no TID index on its table")
+		}
+		name := fmt.Sprintf("maxTail %d", maxTail)
+		same := func(what string, a, b any) {
+			t.Helper()
+			ja, err := json.Marshal(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := json.Marshal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ja, jb) {
+				t.Fatalf("%s: %s with the index %s, without %s", name, what, ja, jb)
+			}
+		}
+
+		n := m.H.NumVertices()
+		for head := 0; head < n; head++ {
+			a, err := core.MineRules(m, head, core.MineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := core.MineRules(&bare, head, core.MineOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("MineRules(head %d)", head), a, b)
+		}
+
+		dom, targets, abc := v1Classifier(t, m)
+		bareABC, err := classify.NewABC(&bare, dom.DomSet, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		domVals := make([]table.Value, 0, m.Table.NumRows()*len(dom.DomSet))
+		for i := 0; i < m.Table.NumRows(); i++ {
+			for _, a := range dom.DomSet {
+				domVals = append(domVals, m.Table.At(i, a))
+			}
+		}
+		for _, y := range targets {
+			va, ca, err := abc.PredictBatch(domVals, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vb, cb, err := bareABC.PredictBatch(domVals, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("NewABC predictions for target %d", y), []any{va, ca}, []any{vb, cb})
+		}
+
+		batch := []Request{{Dominators: &DominatorsRequest{}}, {Similar: &SimilarRequest{A: m.H.VertexName(0), Top: n}}}
+		for head := 0; head < n; head++ {
+			batch = append(batch, Request{Rules: &RulesRequest{Head: m.H.VertexName(head), Top: 1000}})
+		}
+		rows := make([][]int, 100)
+		for i := range rows {
+			for _, a := range dom.DomSet {
+				rows[i] = append(rows[i], int(m.Table.At(i, a)))
+			}
+		}
+		for _, y := range targets {
+			batch = append(batch, Request{Classify: &ClassifyRequest{Target: m.H.VertexName(y), Rows: rows}})
+		}
+		a, err := newEngine(t, m, Options{}).Do(ctx, &Request{Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := newEngine(t, &bare, Options{}).Do(ctx, &Request{Batch: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, item := range a.Batch {
+			if item.Error != nil {
+				t.Fatalf("%s: batch item %d: %v", name, i, item.Error)
+			}
+		}
+		same("engine answers", a, b)
+		if bare.Table.IndexIfBuilt() != nil {
+			t.Fatalf("%s: answering built an index on the bare table", name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -127,7 +128,8 @@ func randomSimGraph(t *testing.T, rng *rand.Rand, nv, edges int) *hypergraph.H {
 
 // TestSimScratchDifferential checks the allocation-free OutSim/InSim
 // against the straightforward allocating reference on random graphs
-// with tails up to size 3.
+// with tails up to size 3. The reference sums from its first argument;
+// OutSim/InSim sum from the smaller vertex id in either argument order.
 func TestSimScratchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
@@ -135,10 +137,11 @@ func TestSimScratchDifferential(t *testing.T) {
 		h := randomSimGraph(t, rng, nv, 150)
 		for a1 := 0; a1 < nv; a1++ {
 			for a2 := 0; a2 < nv; a2++ {
-				if got, want := OutSim(h, a1, a2), refOutSim(h, a1, a2); got != want {
+				lo, hi := min(a1, a2), max(a1, a2)
+				if got, want := OutSim(h, a1, a2), refOutSim(h, lo, hi); got != want {
 					t.Fatalf("OutSim(%d,%d) = %v, reference %v", a1, a2, got, want)
 				}
-				if got, want := InSim(h, a1, a2), refInSim(h, a1, a2); got != want {
+				if got, want := InSim(h, a1, a2), refInSim(h, lo, hi); got != want {
 					t.Fatalf("InSim(%d,%d) = %v, reference %v", a1, a2, got, want)
 				}
 			}
@@ -203,5 +206,87 @@ func TestSimZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("OutSim/InSim allocate %v objects/op, want 0", n)
+	}
+}
+
+// TestBuildGraphMatchesDistance: every off-diagonal cell of the graph
+// has the float64 bits of Distance of its two vertices, at parallelism
+// 1 and 4, for random hypergraphs with tails of one to three vertices,
+// small ones where substitutions often collide with the tail, node
+// sets out of ascending order or listing a vertex twice, and edges
+// whose contexts do not pack (two-vertex heads, ids beyond
+// hypergraph.MaxPackedID).
+func TestBuildGraphMatchesDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	check := func(name string, h *hypergraph.H, s []int) {
+		t.Helper()
+		for _, par := range []int{1, 4} {
+			g, err := BuildGraphParallel(h, s, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range s {
+				for j := range s {
+					want := 0.0
+					if i != j {
+						want = Distance(h, s[i], s[j])
+					}
+					if math.Float64bits(g.D[i][j]) != math.Float64bits(want) {
+						t.Fatalf("%s, parallelism %d: D[%d][%d] (vertices %d, %d) = %v, Distance %v",
+							name, par, i, j, s[i], s[j], g.D[i][j], want)
+					}
+				}
+			}
+		}
+	}
+	for trial := 0; trial < 12; trial++ {
+		nv := 4 + rng.Intn(20)
+		h := randomSimGraph(t, rng, nv, 20+rng.Intn(300))
+		s := rng.Perm(nv)[:2+rng.Intn(nv-1)]
+		check(fmt.Sprintf("trial %d subset %v", trial, s), h, s)
+		s = append(s, s[rng.Intn(len(s))])
+		check(fmt.Sprintf("trial %d repeated %v", trial, s), h, s)
+	}
+
+	names := make([]string, hypergraph.MaxPackedID+8)
+	for i := range names {
+		names[i] = fmt.Sprint("v", i)
+	}
+	h, err := hypergraph.New(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := []int{0, 1, 2, 3, hypergraph.MaxPackedID - 1, hypergraph.MaxPackedID, hypergraph.MaxPackedID + 1, hypergraph.MaxPackedID + 5}
+	for tries := 0; h.NumEdges() < 300 && tries < 6000; tries++ {
+		set := func(n int) []int {
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = pool[rng.Intn(len(pool))]
+			}
+			return ids
+		}
+		_ = h.AddEdge(set(1+rng.Intn(3)), set(1+rng.Intn(2)), rng.Float64()+0.01)
+	}
+	s := append([]int(nil), pool...)
+	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	check(fmt.Sprintf("unpacked contexts %v", s), h, s)
+}
+
+// TestSimilaritySymmetric: InSim, OutSim and Distance give the same
+// bits in both argument orders.
+func TestSimilaritySymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 6; trial++ {
+		nv := 4 + rng.Intn(20)
+		h := randomSimGraph(t, rng, nv, 300)
+		for a := 0; a < nv; a++ {
+			for b := a + 1; b < nv; b++ {
+				for _, f := range []func(*hypergraph.H, int, int) float64{InSim, OutSim, Distance} {
+					if x, y := f(h, a, b), f(h, b, a); math.Float64bits(x) != math.Float64bits(y) {
+						t.Fatalf("trial %d: (%d, %d) gives %v, (%d, %d) gives %v", trial, a, b, x, b, a, y)
+					}
+				}
+			}
+		}
 	}
 }

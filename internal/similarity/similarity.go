@@ -40,7 +40,8 @@ func replaceTail(buf []int, tail []int, a1, a2 int) ([]int, bool) {
 // weighted fraction of tail-substitutable hyperedge pairs among all
 // hyperedges leaving a1 or a2. Result is in [0, 1]; identical
 // attributes give 1 when they have outgoing edges, and 0 denominators
-// give 0.
+// give 0. The sums run from the smaller vertex id, so OutSim(h, a, b)
+// and OutSim(h, b, a) are the same float64 bits.
 //
 //hyper:noalloc
 func OutSim(h *hypergraph.H, a1, a2 int) float64 {
@@ -50,6 +51,7 @@ func OutSim(h *hypergraph.H, a1, a2 int) float64 {
 		}
 		return 0
 	}
+	a1, a2 = min(a1, a2), max(a1, a2)
 	var num, den float64
 	var scratch [hypergraph.MaxRestrictedTail]int
 	// Pairs seeded from out(a1): matched ones contribute min to the
@@ -92,7 +94,8 @@ func replaceHead(buf []int, head []int, a1, a2 int) ([]int, bool) {
 }
 
 // InSim computes in-sim_H(a1, a2) of Definition 3.11(2): as OutSim but
-// substituting in head sets of incoming hyperedges.
+// substituting in head sets of incoming hyperedges. Like OutSim it is
+// bit-symmetric in a1 and a2.
 //
 //hyper:noalloc
 func InSim(h *hypergraph.H, a1, a2 int) float64 {
@@ -102,6 +105,7 @@ func InSim(h *hypergraph.H, a1, a2 int) float64 {
 		}
 		return 0
 	}
+	a1, a2 = min(a1, a2), max(a1, a2)
 	var num, den float64
 	var scratch [hypergraph.MaxRestrictedTail]int
 	for _, i := range h.In(a1) {
@@ -195,7 +199,8 @@ func BuildGraphParallel(h *hypergraph.H, s []int, parallelism int) (*Graph, erro
 // every CheckEvery row stripes and the build returns ctx.Err()
 // promptly once canceled, discarding the partial matrix. With a
 // never-canceled context the result is bit-identical to BuildGraph at
-// every parallelism level.
+// every parallelism level. Cells are read off substitution contexts
+// (contexts.go) rather than by calling Distance, with the same bits.
 func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphOptions) (*Graph, error) {
 	if len(s) == 0 {
 		return nil, errors.New("similarity: empty collection")
@@ -218,20 +223,48 @@ func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphO
 	for i := range g.D {
 		g.D[i] = make([]float64, len(s))
 	}
-	fillRow := func(i int) {
+	member := make([]bool, numV)
+	for _, v := range s {
+		member[v] = true
+	}
+	in, out := newSide(h, member, false), newSide(h, member, true)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// fillRow marks s[i]'s contexts in the worker's slots, reads every
+	// cell (i, j > i) off the two sides and clears the marks again.
+	type scratch struct{ inSlot, outSlot, mr, mx []int32 }
+	newScratch := func() *scratch {
+		n := max(in.maxLen, out.maxLen)
+		return &scratch{inSlot: make([]int32, in.n), outSlot: make([]int32, out.n),
+			mr: make([]int32, n), mx: make([]int32, n)}
+	}
+	fillRow := func(sc *scratch, i int) {
+		r := s[i]
+		in.mark(r, sc.inSlot, true)
+		out.mark(r, sc.outSlot, true)
 		for j := i + 1; j < len(s); j++ {
-			d := Distance(h, s[i], s[j])
+			x := s[j]
+			var d float64
+			if x == r { // a vertex listed twice in s
+				d = Distance(h, r, x)
+			} else {
+				d = 1 - (in.sim(r, x, sc.inSlot, sc.mr, sc.mx)+out.sim(r, x, sc.outSlot, sc.mr, sc.mx))/2
+			}
 			g.D[i][j] = d
 			g.D[j][i] = d
 		}
+		in.mark(r, sc.inSlot, false)
+		out.mark(r, sc.outSlot, false)
 	}
 	if parallelism == 1 {
 		chk := runopt.NewChecker(ctx, opt.CheckEvery, 1)
+		sc := newScratch()
 		for i := 0; i < len(s); i++ {
 			if err := chk.Tick(); err != nil {
 				return nil, err
 			}
-			fillRow(i)
+			fillRow(sc, i)
 			prog.Tick(1)
 		}
 		return g, nil
@@ -247,11 +280,12 @@ func BuildGraphContext(ctx context.Context, h *hypergraph.H, s []int, opt GraphO
 		go func() {
 			defer wg.Done()
 			chk := runopt.NewChecker(ctx, opt.CheckEvery, 1)
+			sc := newScratch()
 			for i := range rows {
 				if chk.Tick() != nil {
 					continue
 				}
-				fillRow(i)
+				fillRow(sc, i)
 				prog.Tick(1)
 			}
 		}()
